@@ -3,8 +3,10 @@
 // the full formatted tables; these benches integrate with `go test -bench`).
 //
 // Naming: BenchmarkTable1_*, BenchmarkTable2_*, BenchmarkFig5_*, ... map to
-// the experiment index of DESIGN.md §4. Numeric factorization only, like
-// the paper. BENCH_SCALE can shrink the workloads (default 0.5).
+// the paper's tables and figures, which cmd/baskerbench prints in full.
+// Numeric factorization only, like the paper, except BenchmarkAnalyzeSuite,
+// which times the symbolic phase alone.
+// BENCH_SCALE can shrink the workloads (default 0.5).
 package basker
 
 import (
@@ -447,7 +449,7 @@ func benchWall(b *testing.B, a *sparse.CSC, threads int, mode core.SyncMode) {
 	}
 }
 
-// ---- DESIGN.md §5 ablations: BTF / MWCM / local AMD ----
+// ---- design-choice ablations: BTF / MWCM / local AMD ----
 
 func BenchmarkAblationBTF(b *testing.B) {
 	a := suiteMatrix(b, "rajat21")
@@ -474,6 +476,28 @@ func BenchmarkAblationLocalAMD(b *testing.B) {
 }
 
 // ---- substrate micro-benchmarks ----
+
+// BenchmarkAnalyzeSuite times the symbolic phase alone: core.Analyze over
+// the full-size Table I suite at 2 threads, one op per suite pass.
+func BenchmarkAnalyzeSuite(b *testing.B) {
+	suite := matgen.TableISuite(1)
+	mats := make([]*sparse.CSC, len(suite))
+	for i, m := range suite {
+		mats[i] = m.Gen()
+	}
+	opts := core.DefaultOptions()
+	opts.Threads = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range mats {
+			if _, err := core.Analyze(a, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*len(mats)), "ms/matrix")
+}
 
 func BenchmarkGPFactorSerial(b *testing.B) {
 	a := suiteMatrix(b, "bcircuit")

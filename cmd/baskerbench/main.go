@@ -41,7 +41,7 @@ var (
 	seqLen     = flag.Int("seqlen", 200, "length of the Xyce transient sequence")
 	minTime    = flag.Duration("mintime", 50*time.Millisecond, "minimum measuring time per point")
 	simulate   = flag.Bool("simulate", runtime.NumCPU() == 1,
-		"report simulated p-core makespans from per-task timings instead of wall clock (default on single-core hosts; see DESIGN.md)")
+		"report simulated p-core makespans from per-task timings instead of wall clock (default on single-core hosts; see README.md, Simulated makespans)")
 	refactorJSON = flag.String("refactorjson", "BENCH_refactor.json",
 		"output path for the refactor-trajectory JSON (refactor experiment); empty disables the file")
 	factorJSON = flag.String("factorjson", "BENCH_factor.json",
@@ -633,7 +633,7 @@ func geomean() {
 		perf.GeoMean(bsp), perf.GeoMean(psp), wins, total)
 }
 
-// ---- design-choice ablations (DESIGN.md §5) ----
+// ---- design-choice ablations ----
 
 func ablation() {
 	fmt.Println("Design ablations on a mid-suite circuit matrix (rajat21 replica)")

@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("largest block D2: %d rows (%d nnz) — %0.f%% of the matrix\n",
 		d2.N, d2.Nnz(), 100*float64(d2.N)/float64(a.N))
 
-	tree, err := nd.Compute(d2, 4)
+	tree, err := nd.Compute(d2.SymbolicUnion(), 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -291,8 +291,8 @@ func (num *Numeric) hookDone(blk int, nd bool) {
 // per-thread fine-BTF compute time plus the dependency-tree makespan of
 // every fine-ND block. This is the hardware-substitution timing model used
 // when the host has fewer physical cores than the experiment sweeps
-// (DESIGN.md); matrix permutation/extraction overhead is excluded for all
-// solvers alike.
+// (README.md, Simulated makespans); matrix permutation/extraction overhead
+// is excluded for all solvers alike.
 func (num *Numeric) SimulatedSeconds() float64 {
 	total := num.ndSim
 	max := 0.0
@@ -403,6 +403,7 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	}
 
 	b := a.Permute(sym.RowPerm, sym.ColPerm)
+	bPat := b.Pattern()
 	rowPerm := make([]int, n)
 	colPerm := make([]int, n)
 	copy(rowPerm, sym.RowPerm)
@@ -446,15 +447,17 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 			errs[blk] = analyzeND(sym, b, blk, r0, r1, rowPerm, colPerm, opts)
 			return
 		}
-		// ---- Fine BTF block (paper §III-B, Algorithm 2): AMD order.
+		// ---- Fine BTF block (paper §III-B, Algorithm 2): AMD order. The
+		// block's A+Aᵀ pattern is formed once: AMD orders it, and its
+		// reordering feeds the etree and column counts.
 		if bs > 1 {
-			sub := b.ExtractBlock(r0, r1, r0, r1)
-			local := amd.Order(sub)
+			g := bPat.ExtractBlock(r0, r1, r0, r1).SymbolicUnion()
+			local := amd.Order(g)
 			for k := 0; k < bs; k++ {
 				rowPerm[r0+k] = sym.RowPerm[r0+local[k]]
 				colPerm[r0+k] = sym.ColPerm[r0+local[k]]
 			}
-			ordered := sub.Permute(local, local)
+			ordered := g.Permute(local, local)
 			parent := etree.Symmetric(ordered)
 			counts := etree.ColCounts(ordered, parent)
 			est := 0
@@ -610,7 +613,7 @@ func analyzeND(sym *Symbolic, b *sparse.CSC, blk, r0, r1 int, rowPerm, colPerm [
 	d := b.ExtractBlock(r0, r1, r0, r1)
 
 	// Local matching (Pm2) to concentrate weight on the diagonal and
-	// reduce the need to pivot.
+	// reduce the need to pivot. Only the pattern is needed after it.
 	localRow := sparse.IdentityPerm(bs)
 	if opts.UseMWCM {
 		ws := matchWSPool.Get().(*matching.Workspace)
@@ -620,50 +623,51 @@ func analyzeND(sym *Symbolic, b *sparse.CSC, blk, r0, r1 int, rowPerm, colPerm [
 			return fmt.Errorf("core: nd block %d matching: %w", blk, err)
 		}
 		localRow = m.RowPerm
-		d = d.Permute(localRow, nil)
 	}
+	d = d.Pattern().Permute(localRow, nil)
 
-	// Nested dissection with one leaf per ND thread.
-	tree, err := nd.Compute(d, opts.ndLeaves())
+	// Nested dissection with one leaf per ND thread, on the block's A+Aᵀ
+	// pattern; the same pattern, reordered, feeds the local AMD.
+	g := d.SymbolicUnion()
+	tree, err := nd.Compute(g, opts.ndLeaves())
 	if err != nil {
 		return fmt.Errorf("core: nd block %d: %w", blk, err)
 	}
-	rowL := append([]int(nil), tree.Perm...)
-	colL := append([]int(nil), tree.Perm...)
+	perm := append([]int(nil), tree.Perm...)
 
 	// Optional AMD inside each tree diagonal block for local fill
-	// reduction; the composition keeps the tree's block boundaries.
+	// reduction; the composition keeps the tree's block boundaries. Tree
+	// blocks order independently, so they run across the thread pool.
 	if opts.LocalAMD {
-		d2 := d.Permute(tree.Perm, tree.Perm)
-		for nb := 0; nb < tree.NumBlocks(); nb++ {
+		g2 := g.Permute(tree.Perm, tree.Perm)
+		parallelBlocks(tree.NumBlocks(), opts.threads(), func(nb, _ int) {
 			b0, b1 := tree.BlockPtr[nb], tree.BlockPtr[nb+1]
 			if b1-b0 < 3 {
-				continue
+				return
 			}
-			sub := d2.ExtractBlock(b0, b1, b0, b1)
-			local := amd.Order(sub)
+			local := amd.Order(g2.ExtractBlock(b0, b1, b0, b1))
 			for k := 0; k < b1-b0; k++ {
-				rowL[b0+k] = tree.Perm[b0+local[k]]
-				colL[b0+k] = tree.Perm[b0+local[k]]
+				perm[b0+k] = tree.Perm[b0+local[k]]
 			}
-		}
+		})
 	}
 
 	// Compose into the global permutations:
-	// global row = BTF ∘ localRow ∘ rowL ; global col = BTF ∘ colL.
+	// global row = BTF ∘ localRow ∘ perm ; global col = BTF ∘ perm.
 	for k := 0; k < bs; k++ {
-		rowPerm[r0+k] = sym.RowPerm[r0+localRow[rowL[k]]]
-		colPerm[r0+k] = sym.ColPerm[r0+colL[k]]
+		rowPerm[r0+k] = sym.RowPerm[r0+localRow[perm[k]]]
+		colPerm[r0+k] = sym.ColPerm[r0+perm[k]]
 	}
 	ns := newNDSym(tree)
 	// Algorithm 3: parallel symbolic estimation over the final 2D layout,
 	// so the numeric phase can pre-size factor storage.
-	dp := d.Permute(rowL, colL)
-	ns.est = estimateND(dp, ns)
+	dp := d.Permute(perm, perm)
+	var leafCounts [][]int
+	ns.est, leafCounts = estimateND(dp, ns)
 	// Supernode detection before the dense tags: moderate-density leaf
 	// diagonals get elimination-tree panels, and computeDenseTags tags
 	// couplings onto supernodal leaves the same way it does dense ones.
-	ns.computeSupernodes(dp, opts)
+	ns.computeSupernodes(dp, leafCounts, opts)
 	// Density-adaptive kernel classification: fill-heavy separator kernels
 	// are tagged here, once per analysis, for the dense panel layer.
 	ns.computeDenseTags(opts)

@@ -235,7 +235,8 @@ type ndNum struct {
 	// phaseDur[t][phase] is thread t's compute time in each step of the
 	// static schedule. All threads traverse the same phase sequence, so the
 	// simulated p-core makespan of the schedule is Σ_phase max_t duration —
-	// the hardware-substitution timing model of DESIGN.md.
+	// the hardware-substitution timing model (README.md, Simulated
+	// makespans).
 	phaseDur [][]float64
 }
 

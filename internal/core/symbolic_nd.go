@@ -25,8 +25,10 @@ type ndEstimates struct {
 }
 
 // estimateND runs the parallel symbolic estimation over the 2D structure of
-// one fine-ND block. d is the fully permuted ND matrix.
-func estimateND(d *sparse.CSC, s *ndSym) *ndEstimates {
+// one fine-ND block. d is the fully permuted ND matrix (its pattern is
+// enough). It also returns the leaf diagonals' elimination-tree column
+// counts, indexed by block id, for the supernode detection.
+func estimateND(d *sparse.CSC, s *ndSym) (*ndEstimates, [][]int) {
 	nb := s.nb
 	est := &ndEstimates{
 		diagNnz:  make([]int, nb),
@@ -43,6 +45,7 @@ func estimateND(d *sparse.CSC, s *ndSym) *ndEstimates {
 	// parallel over leaves (Algorithm 3 lines 2-9).
 	type ranges struct{ lo, hi []int } // per column of the target block
 	lest := make([][]ranges, nb)       // lest[i][path idx]
+	leafCounts := make([][]int, nb)
 	var wg sync.WaitGroup
 	for t := 0; t < s.p; t++ {
 		wg.Add(1)
@@ -50,9 +53,9 @@ func estimateND(d *sparse.CSC, s *ndSym) *ndEstimates {
 			defer wg.Done()
 			leaf := s.tree.Leaves[t]
 			r0, r1 := s.blockRange(leaf)
-			diag := d.ExtractBlock(r0, r1, r0, r1)
-			parent := etree.Symmetric(diag)
-			counts := etree.ColCounts(diag, parent)
+			g := d.ExtractBlock(r0, r1, r0, r1).SymbolicUnion()
+			counts := etree.ColCounts(g, etree.Symmetric(g))
+			leafCounts[leaf] = counts
 			sum := 0
 			for _, c := range counts {
 				sum += c
@@ -145,7 +148,7 @@ func estimateND(d *sparse.CSC, s *ndSym) *ndEstimates {
 		}
 		lwg.Wait()
 	}
-	return est
+	return est, leafCounts
 }
 
 // denseMinDim is the smallest 2D block dimension routed through the dense
@@ -284,9 +287,10 @@ const snodeMaxWidth = 64
 // blocked panel kernels. Leaf diagonals only: a leaf factors its input
 // block directly (no reduction feeds it), so the Analyze-time pattern the
 // etree is built from is exactly the pattern the numeric phase eliminates.
-// dp is the fully permuted ND matrix. Must run before computeDenseTags,
-// which consults the result to tag couplings onto supernodal leaves.
-func (s *ndSym) computeSupernodes(dp *sparse.CSC, opts Options) {
+// dp is the fully permuted ND matrix and leafCounts the leaf diagonals'
+// column counts from estimateND. Must run before computeDenseTags, which
+// consults the result to tag couplings onto supernodal leaves.
+func (s *ndSym) computeSupernodes(dp *sparse.CSC, leafCounts [][]int, opts Options) {
 	if opts.NoSupernodes || s.est == nil {
 		return
 	}
@@ -306,8 +310,7 @@ func (s *ndSym) computeSupernodes(dp *sparse.CSC, opts Options) {
 		// Column etree drives the run structure (the LU bound under
 		// pivoting); symmetric-pattern column counts drive the padding
 		// bound that keeps runs to genuinely shared factor patterns.
-		counts := etree.ColCounts(diag, etree.Symmetric(diag))
-		xsup := etree.RelaxedSupernodes(etree.ColEtree(diag), counts, relax, snodeMaxWidth)
+		xsup := etree.RelaxedSupernodes(etree.ColEtree(diag), leafCounts[leaf], relax, snodeMaxWidth)
 		wide := false
 		for si := 0; si+1 < len(xsup); si++ {
 			if xsup[si+1]-xsup[si] >= 2 {

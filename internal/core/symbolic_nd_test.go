@@ -23,7 +23,7 @@ func buildNDFixture(t *testing.T, k, leaves int) (*sparse.CSC, *ndSym) {
 
 func TestEstimateNDBasicInvariants(t *testing.T) {
 	d, s := buildNDFixture(t, 16, 4)
-	est := estimateND(d, s)
+	est, _ := estimateND(d, s)
 	for b := 0; b < s.nb; b++ {
 		r0, r1 := s.blockRange(b)
 		w := r1 - r0
@@ -81,8 +81,8 @@ func TestEstimatesReduceReallocation(t *testing.T) {
 
 func TestEstimateNDDeterministic(t *testing.T) {
 	d, s := buildNDFixture(t, 12, 2)
-	e1 := estimateND(d, s)
-	e2 := estimateND(d, s)
+	e1, _ := estimateND(d, s)
+	e2, _ := estimateND(d, s)
 	for b := range e1.diagNnz {
 		if e1.diagNnz[b] != e2.diagNnz[b] {
 			t.Fatal("estimates are not deterministic")

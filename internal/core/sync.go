@@ -14,7 +14,7 @@ import (
 // the paper's write-to-volatile point-to-point synchronization. Signals are
 // implemented as closed channels so waiting goroutines consume no CPU even
 // when the host has fewer cores than workers (which matters for the
-// simulated-makespan timing mode described in DESIGN.md).
+// simulated-makespan timing mode described in README.md).
 type Signals struct {
 	done  []chan struct{}
 	abort chan struct{}

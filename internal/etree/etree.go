@@ -8,10 +8,11 @@ package etree
 
 import "repro/internal/sparse"
 
-// Symmetric computes the elimination tree of the symmetric pattern of
-// a + aᵀ. parent[j] is the etree parent of column j, or -1 for roots.
-func Symmetric(a *sparse.CSC) []int {
-	g := a.SymbolicUnion()
+// Symmetric computes the elimination tree of the symmetric pattern g
+// (typically a.SymbolicUnion(), formed once and shared with ColCounts and
+// the AMD ordering). parent[j] is the etree parent of column j, or -1 for
+// roots.
+func Symmetric(g *sparse.CSC) []int {
 	n := g.N
 	parent := make([]int, n)
 	ancestor := make([]int, n)
@@ -204,11 +205,11 @@ func Postorder(parent []int) []int {
 }
 
 // ColCounts returns, for each column j, the number of nonzeros in column j
-// of the Cholesky factor of the symmetric pattern of a + aᵀ (including the
-// diagonal). This is the fill estimate the solvers use to size LU factor
-// storage. It runs the row-subtree traversal: O(|L|) time.
-func ColCounts(a *sparse.CSC, parent []int) []int {
-	g := a.SymbolicUnion()
+// of the Cholesky factor of the symmetric pattern g with elimination tree
+// parent (including the diagonal). This is the fill estimate the solvers
+// use to size LU factor storage. It runs the row-subtree traversal: O(|L|)
+// time.
+func ColCounts(g *sparse.CSC, parent []int) []int {
 	n := g.N
 	count := make([]int, n)
 	mark := make([]int, n)

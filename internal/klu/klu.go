@@ -105,15 +105,15 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 			sym.EstNnz[blk] = 1
 			continue
 		}
-		sub := b.ExtractBlock(r0, r1, r0, r1)
-		local := amd.Order(sub)
+		g := b.ExtractBlock(r0, r1, r0, r1).SymbolicUnion()
+		local := amd.Order(g)
 		for k := 0; k < bs; k++ {
 			rowPerm[r0+k] = sym.RowPerm[r0+local[k]]
 			colPerm[r0+k] = sym.ColPerm[r0+local[k]]
 		}
 		// Fill estimate from the Cholesky column counts of the reordered
 		// block pattern.
-		ordered := sub.Permute(local, local)
+		ordered := g.Permute(local, local)
 		parent := etree.Symmetric(ordered)
 		counts := etree.ColCounts(ordered, parent)
 		est := 0

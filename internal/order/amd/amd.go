@@ -14,25 +14,11 @@
 package amd
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sparse"
 )
-
-// Order computes a fill-reducing elimination order for the symmetric pattern
-// of a (the pattern of a + aᵀ is formed internally; the diagonal is
-// ignored). It returns a new-to-old permutation p: eliminating the vertices
-// of a(p,p) in natural order yields low fill.
-func Order(a *sparse.CSC) []int {
-	g := a.SymbolicUnion().DropDiagonal()
-	return orderGraph(g)
-}
-
-// OrderGraph computes the ordering for an already-symmetric adjacency
-// structure g (no diagonal, pattern symmetric). Values are ignored.
-func OrderGraph(g *sparse.CSC) []int {
-	return orderGraph(g)
-}
 
 type hashEntry struct{ i, hash int }
 
@@ -43,7 +29,6 @@ type amdState struct {
 	elen []int // number of leading element entries (variables only)
 	nv   []int // supervariable size; 0 = dead (absorbed or eliminated)
 	deg  []int // approximate external degree (vars) / |Le| in nv units (elems)
-	elem []bool
 	dead []bool
 
 	iw     []int
@@ -60,15 +45,31 @@ type amdState struct {
 	inLk []int
 	tag  int
 
-	members [][]int
-	order   []int
-	nLive   int
-	mindeg  int
+	// Supervariable members as linked lists: member i's successor is
+	// memberNext[i] (-1 ends the list) and memberTail[i] is the last member
+	// of the supervariable headed by i.
+	memberNext []int
+	memberTail []int
+	order      []int
+	nLive      int
+	mindeg     int
 
-	scratch []int // reusable copy of an adjacency block during rewrites
+	// Per-step scratch, reused across eliminations.
+	scratch []int // copy of an adjacency block during rewrites
+	lk      []int
+	hashes  []hashEntry
+	live    []liveBlock
 }
 
-func orderGraph(g *sparse.CSC) []int {
+// liveBlock is one live adjacency block during workspace compaction.
+type liveBlock struct{ id, pe int }
+
+// Order computes a fill-reducing elimination order for the symmetric pattern
+// g (typically a.SymbolicUnion(), formed once and shared with the
+// elimination-tree passes; the diagonal is ignored). It returns a
+// new-to-old permutation p: eliminating the vertices of g(p,p) in natural
+// order yields low fill.
+func Order(g *sparse.CSC) []int {
 	n := g.N
 	if n == 0 {
 		return []int{}
@@ -76,25 +77,24 @@ func orderGraph(g *sparse.CSC) []int {
 	if n == 1 {
 		return []int{0}
 	}
-	nnz := g.Nnz()
 	s := &amdState{
-		n:       n,
-		pe:      make([]int, n),
-		blen:    make([]int, n),
-		elen:    make([]int, n),
-		nv:      make([]int, n),
-		deg:     make([]int, n),
-		elem:    make([]bool, n),
-		dead:    make([]bool, n),
-		iw:      make([]int, nnz+n+1),
-		head:    make([]int, n+1),
-		next:    make([]int, n),
-		prev:    make([]int, n),
-		w:       make([]int, n),
-		inLk:    make([]int, n),
-		members: make([][]int, n),
-		order:   make([]int, 0, n),
-		nLive:   n,
+		n:          n,
+		pe:         make([]int, n),
+		blen:       make([]int, n),
+		elen:       make([]int, n),
+		nv:         make([]int, n),
+		deg:        make([]int, n),
+		dead:       make([]bool, n),
+		iw:         make([]int, g.Nnz()+n+1),
+		head:       make([]int, n+1),
+		next:       make([]int, n),
+		prev:       make([]int, n),
+		w:          make([]int, n),
+		inLk:       make([]int, n),
+		memberNext: make([]int, n),
+		memberTail: make([]int, n),
+		order:      make([]int, 0, n),
+		nLive:      n,
 	}
 	for i := range s.head {
 		s.head[i] = -1
@@ -102,14 +102,17 @@ func orderGraph(g *sparse.CSC) []int {
 	pos := 0
 	for j := 0; j < n; j++ {
 		s.pe[j] = pos
-		for p := g.Colptr[j]; p < g.Colptr[j+1]; p++ {
-			s.iw[pos] = g.Rowidx[p]
-			pos++
+		for _, i := range g.Rowidx[g.Colptr[j]:g.Colptr[j+1]] {
+			if i != j {
+				s.iw[pos] = i
+				pos++
+			}
 		}
 		s.blen[j] = pos - s.pe[j]
 		s.deg[j] = s.blen[j]
 		s.nv[j] = 1
-		s.members[j] = []int{j}
+		s.memberNext[j] = -1
+		s.memberTail[j] = j
 		s.listInsert(j, s.deg[j])
 	}
 	s.iwTail = pos
@@ -171,15 +174,15 @@ func (s *amdState) ensureSpace(extra int) {
 }
 
 func (s *amdState) compact() {
-	type blk struct{ id, pe int }
-	live := make([]blk, 0, s.n)
+	live := s.live[:0]
 	for i := 0; i < s.n; i++ {
 		if s.dead[i] {
 			continue
 		}
-		live = append(live, blk{i, s.pe[i]})
+		live = append(live, liveBlock{i, s.pe[i]})
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].pe < live[b].pe })
+	s.live = live
+	slices.SortFunc(live, func(a, b liveBlock) int { return cmp.Compare(a.pe, b.pe) })
 	pos := 0
 	for _, b := range live {
 		l := s.blen[b.id]
@@ -197,7 +200,7 @@ func (s *amdState) eliminate(k int) {
 	// elements. Mark membership with inLk tags.
 	s.tag++
 	tag := s.tag
-	lk := make([]int, 0, s.deg[k]+4)
+	lk := s.lk[:0]
 	base := s.pe[k]
 	for t := 0; t < s.blen[k]; t++ {
 		e := s.iw[base+t]
@@ -224,8 +227,12 @@ func (s *amdState) eliminate(k int) {
 		}
 	}
 
+	s.lk = lk
+
 	// Emit k's variables in the final order.
-	s.order = append(s.order, s.members[k]...)
+	for v := k; v != -1; v = s.memberNext[v] {
+		s.order = append(s.order, v)
+	}
 	s.nLive -= s.nv[k]
 	s.nv[k] = 0
 	s.dead[k] = true
@@ -236,7 +243,6 @@ func (s *amdState) eliminate(k int) {
 
 	// Store Lk as element k's list.
 	s.dead[k] = false // k lives on as an element
-	s.elem[k] = true
 	s.ensureSpace(len(lk))
 	s.pe[k] = s.iwTail
 	copy(s.iw[s.iwTail:], lk)
@@ -269,7 +275,7 @@ func (s *amdState) eliminate(k int) {
 
 	// ---- Scan 2: rewrite adjacency of each i in Lk, compute approximate
 	// degree, detect supervariables.
-	hashes := make([]hashEntry, 0, len(lk))
+	hashes := s.hashes[:0]
 	for _, i := range lk {
 		if s.nv[i] <= 0 {
 			continue // merged away earlier in this scan (defensive)
@@ -330,8 +336,10 @@ func (s *amdState) eliminate(k int) {
 		hashes = append(hashes, hashEntry{i, hash % (4 * s.n)})
 	}
 
+	s.hashes = hashes
+
 	// ---- Supervariable detection: bucket by hash, compare exact lists.
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a].hash < hashes[b].hash })
+	slices.SortFunc(hashes, func(a, b hashEntry) int { return cmp.Compare(a.hash, b.hash) })
 	for lo := 0; lo < len(hashes); {
 		hi := lo + 1
 		for hi < len(hashes) && hashes[hi].hash == hashes[lo].hash {
@@ -369,8 +377,8 @@ func (s *amdState) mergeEqualAdjacency(bucket []hashEntry) {
 				s.nv[i] += s.nv[j]
 				s.nv[j] = 0
 				s.dead[j] = true
-				s.members[i] = append(s.members[i], s.members[j]...)
-				s.members[j] = nil
+				s.memberNext[s.memberTail[i]] = j
+				s.memberTail[i] = s.memberTail[j]
 				s.listInsert(i, s.deg[i])
 			}
 		}

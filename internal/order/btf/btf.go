@@ -115,7 +115,10 @@ func ComputeWith(a *sparse.CSC, useMWCM bool, ws *Workspace) (*Form, error) {
 	// pattern of row match.RowPerm[u] of A — column match.RowPerm[u] of the
 	// pattern transpose, so one values-free transpose replaces the old
 	// Permute+Transpose round trip.
-	ws.transposePattern(a)
+	ws.tptr = sparse.GrowInts(ws.tptr, a.M+1)
+	ws.tadj = sparse.GrowInts(ws.tadj, a.Nnz())
+	ws.tnext = sparse.GrowInts(ws.tnext, a.M)
+	a.TransposePattern(ws.tptr, ws.tadj, ws.tnext)
 	sccOrder, blockPtr := tarjanSCC(n, match.RowPerm, ws)
 
 	// sccOrder is a symmetric permutation of B: final ColPerm = sccOrder,
@@ -125,33 +128,6 @@ func ComputeWith(a *sparse.CSC, useMWCM bool, ws *Workspace) (*Form, error) {
 		rowPerm[k] = match.RowPerm[sccOrder[k]]
 	}
 	return &Form{RowPerm: rowPerm, ColPerm: sccOrder, BlockPtr: blockPtr}, nil
-}
-
-// transposePattern fills ws.tptr/tadj with the pattern of aᵀ: column i of
-// the transpose lists the columns of a whose pattern contains row i.
-func (ws *Workspace) transposePattern(a *sparse.CSC) {
-	nnz := a.Nnz()
-	ws.tptr = sparse.GrowInts(ws.tptr, a.M+1)
-	ws.tadj = sparse.GrowInts(ws.tadj, nnz)
-	ws.tnext = sparse.GrowInts(ws.tnext, a.M)
-	tptr, tadj, next := ws.tptr, ws.tadj, ws.tnext
-	for i := range tptr {
-		tptr[i] = 0
-	}
-	for _, i := range a.Rowidx[:nnz] {
-		tptr[i+1]++
-	}
-	for i := 0; i < a.M; i++ {
-		tptr[i+1] += tptr[i]
-		next[i] = tptr[i]
-	}
-	for j := 0; j < a.N; j++ {
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
-			tadj[next[i]] = j
-			next[i]++
-		}
-	}
 }
 
 // sccFrame is one DFS frame of the SCC search.

@@ -1,9 +1,9 @@
 // Package matching implements bipartite matchings used to permute sparse
 // matrices to a zero-free diagonal:
 //
-//   - MaxCardinality: MC21-style augmenting-path maximum cardinality
-//     matching on the pattern of A.
-//   - Bottleneck: maximum weight-cardinality matching (MWCM) in the
+//   - MaxCardinalityPermWith: MC21-style augmenting-path maximum
+//     cardinality matching on the pattern of A.
+//   - BottleneckWith: maximum weight-cardinality matching (MWCM) in the
 //     bottleneck sense used by Basker — among all perfect matchings, it
 //     maximizes the smallest |a_ij| placed on the diagonal. This mirrors the
 //     MC64 "bottleneck" option the paper says its MWCM resembles.
@@ -12,7 +12,6 @@ package matching
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"repro/internal/sparse"
 )
@@ -39,15 +38,6 @@ type augFrame struct{ col, ptr int }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// MaxCardinality computes a maximum cardinality matching of the columns of a
-// to its rows. It returns rowOf where rowOf[j] is the row matched to column
-// j, or -1 if column j is unmatched, along with the matching size. The
-// returned slice is freshly allocated (callers retain it).
-func MaxCardinality(a *sparse.CSC) (rowOf []int, size int) {
-	r, s := maxCardinalityFiltered(a, 0, NewWorkspace())
-	return append([]int(nil), r...), s
-}
 
 // maxCardinalityFiltered matches using only entries with |value| >= thresh.
 // thresh == 0 admits every stored entry (pattern matching). The returned
@@ -150,18 +140,13 @@ type Result struct {
 	// RowPerm is new-to-old: B = A(RowPerm, :) has B(j,j) != 0 for all j.
 	RowPerm []int
 	// Bottleneck is the smallest |a_ij| on the matched diagonal (only set
-	// by Bottleneck; MaxCardinalityPerm leaves it 0).
+	// by BottleneckWith; MaxCardinalityPermWith leaves it 0).
 	Bottleneck float64
 }
 
-// MaxCardinalityPerm returns a row permutation placing nonzeros on the
-// diagonal, or ErrStructurallySingular if none exists.
-func MaxCardinalityPerm(a *sparse.CSC) (*Result, error) {
-	return MaxCardinalityPermWith(a, nil)
-}
-
-// MaxCardinalityPermWith is MaxCardinalityPerm drawing scratch from ws
-// (nil allocates a private workspace).
+// MaxCardinalityPermWith returns a row permutation placing nonzeros on the
+// diagonal, or ErrStructurallySingular if none exists. Scratch comes from
+// ws (nil allocates a private workspace).
 func MaxCardinalityPermWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 	if a.M != a.N {
 		return nil, errors.New("matching: matrix must be square")
@@ -176,17 +161,19 @@ func MaxCardinalityPermWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 	return &Result{RowPerm: append([]int(nil), rowOf...)}, nil
 }
 
-// Bottleneck computes a maximum weight-cardinality matching that maximizes
-// the minimum |a_ij| on the diagonal, by binary searching the threshold over
-// the distinct entry magnitudes and testing perfect-matching feasibility
-// with the filtered MC21. Complexity O(nnz · log nnz · augmenting cost).
-func Bottleneck(a *sparse.CSC) (*Result, error) {
-	return BottleneckWith(a, nil)
-}
-
-// BottleneckWith is Bottleneck drawing all scratch — including every
-// feasibility probe's — from ws (nil allocates a private workspace). Only
-// the returned permutation is freshly allocated.
+// BottleneckWith computes a maximum weight-cardinality matching that
+// maximizes the minimum |a_ij| on the diagonal: the threshold is the
+// largest entry magnitude t at which the filtered MC21 (entries with
+// |a_ij| >= t; NaN entries pass every threshold) still finds a perfect
+// matching, and the permutation is that probe's matching. All scratch —
+// including every feasibility probe's — comes from ws (nil allocates a
+// private workspace); only the returned permutation is freshly allocated.
+//
+// The threshold search bisects the entry magnitudes without sorting them.
+// Every column needs an admitted entry, so no magnitude above the smallest
+// column maximum is feasible; the first probe tests that bound itself,
+// which usually ends the search. Later probes test the median of the
+// undecided magnitudes, found by selection.
 func BottleneckWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 	if a.M != a.N {
 		return nil, errors.New("matching: matrix must be square")
@@ -198,45 +185,84 @@ func BottleneckWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	// Distinct magnitudes, ascending. Zero entries can never be diagonal
-	// candidates for a *weighted* matching unless nothing else works; keep
-	// them so pattern-singular detection still goes through MC21.
-	mags := ws.mags[:0]
-	for _, v := range a.Values[:a.Nnz()] {
-		mags = append(mags, math.Abs(v))
-	}
-	sort.Float64s(mags)
-	mags = dedupSorted(mags)
-	ws.mags = mags
-
-	// Feasibility at the smallest magnitude == plain maximum matching.
+	// Threshold 0 admits every stored entry: plain maximum matching.
 	rowOf, size := maxCardinalityFiltered(a, 0, ws)
 	if size != n {
 		return nil, ErrStructurallySingular
 	}
-	ws.best = append(ws.best[:0], rowOf...)
-	bestThresh := 0.0
-	lo, hi := 0, len(mags)-1 // mags[lo] is always feasible once set
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		r, s := maxCardinalityFiltered(a, mags[mid], ws)
+	upper, maxMag := math.Inf(1), math.Inf(-1) // maxMag over non-NaN magnitudes
+	for j := 0; j < n; j++ {
+		colMax := -1.0
+		for _, v := range a.Values[a.Colptr[j]:a.Colptr[j+1]] {
+			m := math.Abs(v)
+			if m != m {
+				m = math.Inf(1) // NaN passes every threshold
+			} else {
+				maxMag = max(maxMag, m)
+			}
+			colMax = max(colMax, m)
+		}
+		upper = min(upper, colMax)
+	}
+	if maxMag < 0 {
+		// Every entry is NaN: each threshold admits them all.
+		return &Result{RowPerm: append([]int(nil), rowOf...), Bottleneck: math.NaN()}, nil
+	}
+	t := min(upper, maxMag) // the largest magnitude that may be feasible
+	cands := ws.mags[:0]
+	for _, v := range a.Values[:a.Nnz()] {
+		if m := math.Abs(v); m <= t {
+			cands = append(cands, m)
+		}
+	}
+	best := 0.0
+	for len(cands) > 0 {
+		r, s := maxCardinalityFiltered(a, t, ws)
 		if s == n {
 			ws.best = append(ws.best[:0], r...)
-			bestThresh = mags[mid]
-			lo = mid + 1
-		} else {
-			hi = mid - 1
+			best = t
+		}
+		keep := cands[:0]
+		for _, m := range cands {
+			if (s == n && m > t) || (s != n && m < t) {
+				keep = append(keep, m)
+			}
+		}
+		if cands = keep; len(cands) > 0 {
+			t = selectKth(cands, len(cands)/2)
 		}
 	}
-	return &Result{RowPerm: append([]int(nil), ws.best...), Bottleneck: bestThresh}, nil
+	ws.mags = cands
+	return &Result{RowPerm: append([]int(nil), ws.best...), Bottleneck: best}, nil
 }
 
-func dedupSorted(x []float64) []float64 {
-	out := x[:0]
-	for i, v := range x {
-		if i == 0 || v != x[i-1] {
-			out = append(out, v)
+// selectKth returns the k-th smallest (0-based) of the NaN-free values x,
+// reordering x (Hoare's selection).
+func selectKth(x []float64, k int) float64 {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		pivot := x[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for x[i] < pivot {
+				i++
+			}
+			for x[j] > pivot {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i, j = i+1, j-1
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return x[k]
 		}
 	}
-	return out
+	return x[k]
 }

@@ -52,17 +52,18 @@ func (t *Tree) PathToRoot(b int) []int {
 	return path
 }
 
-// Compute builds the ND tree with the given number of leaves for the
-// symmetric pattern graph of a (values ignored, A+Aᵀ formed internally).
-// leaves must be a power of two and at least 1.
-func Compute(a *sparse.CSC, leaves int) (*Tree, error) {
-	if a.M != a.N {
-		return nil, fmt.Errorf("nd: matrix must be square, got %d×%d", a.M, a.N)
+// Compute builds the ND tree with the given number of leaves for the graph
+// of the symmetric pattern g (typically a.SymbolicUnion(), formed once and
+// shared with the AMD ordering of the tree blocks; values and the diagonal
+// are ignored). leaves must be a power of two and at least 1.
+func Compute(g *sparse.CSC, leaves int) (*Tree, error) {
+	if g.M != g.N {
+		return nil, fmt.Errorf("nd: matrix must be square, got %d×%d", g.M, g.N)
 	}
 	if leaves < 1 || leaves&(leaves-1) != 0 {
 		return nil, fmt.Errorf("nd: leaves must be a power of two, got %d", leaves)
 	}
-	g := a.SymbolicUnion().DropDiagonal()
+	g = g.DropDiagonal()
 	n := g.N
 	depth := 0
 	for 1<<depth < leaves {

@@ -230,7 +230,7 @@ func TrendLine(xs, ys []float64) (a, b float64) {
 // with the given durations onto p identical workers using the
 // longest-processing-time (LPT) greedy rule. It is used to *simulate*
 // multicore execution of one scheduling level on hosts with fewer physical
-// cores than the experiment sweeps (see DESIGN.md's hardware substitution).
+// cores than the experiment sweeps (see README.md, Simulated makespans).
 func Makespan(durations []float64, p int) float64 {
 	if p < 1 {
 		p = 1

@@ -100,7 +100,7 @@ type Numeric struct {
 	Sym  *Symbolic
 	L, U *sparse.CSC
 	// SnSeconds records each supernode's compute time for the simulated
-	// level-scheduled makespan (DESIGN.md hardware substitution).
+	// level-scheduled makespan (README.md, Simulated makespans).
 	SnSeconds []float64
 }
 
@@ -114,8 +114,9 @@ type Numeric struct {
 // task pays a fixed dispatch overhead (BLAS call setup + task scheduling,
 // calibrated at 2µs — the constant that makes real supernodal solvers lose
 // on circuit matrices whose supernodes are one or two columns wide; our
-// plain-Go loops lack it, so the simulator restores it; see DESIGN.md).
-// This is the hardware-substitution timing model of DESIGN.md.
+// plain-Go loops lack it, so the simulator restores it). This is the
+// hardware-substitution timing model described in README.md, Simulated
+// makespans.
 func (num *Numeric) SimulatedSeconds(threads int) float64 {
 	if threads < 1 {
 		threads = 1
@@ -208,24 +209,24 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 		return nil, fmt.Errorf("pmkl: matrix must be square, got %d×%d", a.M, a.N)
 	}
 	n := a.N
-	match, err := matching.Bottleneck(a)
+	match, err := matching.BottleneckWith(a, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pmkl: matching: %w", err)
 	}
-	b1 := a.Permute(match.RowPerm, nil)
-	// Fill-reducing ordering: nested dissection with AMD inside the parts,
-	// exactly as Pardiso uses METIS — ND is what gives the supernodal
-	// elimination tree its parallelism. Small matrices fall back to AMD.
-	p := orderNDAMD(b1)
+	// Fill-reducing ordering of the matched pattern's A+Aᵀ: nested
+	// dissection with AMD inside the parts, exactly as Pardiso uses METIS —
+	// ND is what gives the supernodal elimination tree its parallelism.
+	// Small matrices fall back to AMD.
+	g1 := a.Pattern().Permute(match.RowPerm, nil).SymbolicUnion()
+	p := orderNDAMD(g1)
 	rowPerm := make([]int, n)
 	for k := 0; k < n; k++ {
 		rowPerm[k] = match.RowPerm[p[k]]
 	}
 	sym := &Symbolic{N: n, RowPerm: rowPerm, ColPerm: p, Opts: opts}
-	b := b1.Permute(p, p)
 
 	// Static symbolic factorization of the symmetric union pattern.
-	g := b.SymbolicUnion()
+	g := g1.Permute(p, p)
 	sym.Parent = etree.Symmetric(g)
 	lpat := symbolicL(g, sym.Parent)
 	sym.LPat = lpat
@@ -266,23 +267,24 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	return sym, nil
 }
 
-// orderNDAMD computes the PMKL fill-reducing ordering: a nested-dissection
-// tree (32 leaves) with an AMD ordering composed inside every tree block.
-func orderNDAMD(b1 *sparse.CSC) []int {
-	n := b1.N
+// orderNDAMD computes the PMKL fill-reducing ordering of the symmetric
+// pattern g: a nested-dissection tree (32 leaves) with an AMD ordering
+// composed inside every tree block.
+func orderNDAMD(g *sparse.CSC) []int {
+	n := g.N
 	if n < 512 {
-		return amd.Order(b1)
+		return amd.Order(g)
 	}
 	leaves := 32
 	for leaves*32 > n && leaves > 2 {
 		leaves /= 2
 	}
-	tree, err := nd.Compute(b1, leaves)
+	tree, err := nd.Compute(g, leaves)
 	if err != nil {
-		return amd.Order(b1)
+		return amd.Order(g)
 	}
 	p := append([]int(nil), tree.Perm...)
-	d2 := b1.Permute(tree.Perm, tree.Perm)
+	d2 := g.Permute(tree.Perm, tree.Perm)
 	for blk := 0; blk < tree.NumBlocks(); blk++ {
 		b0, b1e := tree.BlockPtr[blk], tree.BlockPtr[blk+1]
 		if b1e-b0 < 3 {

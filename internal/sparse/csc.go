@@ -11,9 +11,16 @@
 //     (e.g. numeric factorization) document it.
 //   - A permutation p is "new-to-old": p[k] is the old index that moves to
 //     new position k, so (PA)(k,:) = A(p[k],:).
+//   - A pattern-only matrix has nil Values. SymbolicUnion and Pattern
+//     produce one; Permute, ExtractBlock and DropDiagonal accept one and
+//     return pattern-only results.
 package sparse
 
-import "errors"
+import (
+	"cmp"
+	"errors"
+	"slices"
+)
 
 // CSC is a sparse matrix in compressed sparse column format.
 type CSC struct {
@@ -37,18 +44,21 @@ func NewCSC(m, n, nnz int) *CSC {
 // Nnz reports the number of stored entries.
 func (a *CSC) Nnz() int { return a.Colptr[a.N] }
 
+// Pattern returns a pattern-only matrix aliasing a's structure (Colptr and
+// Rowidx are shared, read-only by convention). Symbolic code permutes and
+// extracts patterns through it without moving any values.
+func (a *CSC) Pattern() *CSC {
+	return &CSC{M: a.M, N: a.N, Colptr: a.Colptr, Rowidx: a.Rowidx}
+}
+
 // SharePattern returns a matrix aliasing a's structure (Colptr and Rowidx
 // are shared, read-only by convention) with its own zero-filled value
 // buffer. This is how one symbolic analysis hands the same sparsity pattern
 // to many concurrent factorizations without duplicating the index arrays.
 func (a *CSC) SharePattern() *CSC {
-	return &CSC{
-		M:      a.M,
-		N:      a.N,
-		Colptr: a.Colptr,
-		Rowidx: a.Rowidx,
-		Values: make([]float64, a.Nnz()),
-	}
+	b := a.Pattern()
+	b.Values = make([]float64, a.Nnz())
+	return b
 }
 
 // ResetShape reinitializes a to an all-zero m×n matrix, reusing the
@@ -147,73 +157,97 @@ func (a *CSC) At(i, j int) float64 {
 // Transpose returns Aᵀ in CSC form (equivalently, A reinterpreted as CSR).
 // Columns of the result are sorted.
 func (a *CSC) Transpose() *CSC {
-	t := &CSC{
-		M:      a.N,
-		N:      a.M,
-		Colptr: make([]int, a.M+1),
-		Rowidx: make([]int, a.Nnz()),
-		Values: make([]float64, a.Nnz()),
-	}
-	// Count entries per row of A (column of Aᵀ).
-	for _, i := range a.Rowidx[:a.Nnz()] {
-		t.Colptr[i+1]++
-	}
-	for i := 0; i < a.M; i++ {
-		t.Colptr[i+1] += t.Colptr[i]
-	}
-	next := make([]int, a.M)
-	copy(next, t.Colptr[:a.M])
-	for j := 0; j < a.N; j++ {
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
-			q := next[i]
-			next[i]++
-			t.Rowidx[q] = j
-			t.Values[q] = a.Values[p]
-		}
-	}
+	nnz := a.Nnz()
+	t := &CSC{M: a.N, N: a.M, Colptr: make([]int, a.M+1), Rowidx: make([]int, nnz), Values: make([]float64, nnz)}
+	a.transpose(t.Colptr, t.Rowidx, t.Values, make([]int, a.M))
 	return t
 }
 
+// TransposePattern writes the pattern of Aᵀ into tptr (length M+1) and
+// tadj (length nnz), with next (length M) as scratch: tadj[tptr[i]:tptr[i+1]]
+// lists, ascending, the columns holding an entry in row i. The caller owns
+// the buffers, so repeated transposes can reuse them.
+func (a *CSC) TransposePattern(tptr, tadj, next []int) {
+	a.transpose(tptr, tadj, nil, next)
+}
+
+// transpose counts the entries of every row, then scatters the columns in
+// order, so every column of the transpose comes out sorted. tval may be nil.
+func (a *CSC) transpose(tptr, tadj []int, tval []float64, next []int) {
+	for i := range tptr {
+		tptr[i] = 0
+	}
+	for _, i := range a.Rowidx[:a.Nnz()] {
+		tptr[i+1]++
+	}
+	for i := 0; i < a.M; i++ {
+		tptr[i+1] += tptr[i]
+		next[i] = tptr[i]
+	}
+	for j := 0; j < a.N; j++ {
+		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
+			i := a.Rowidx[p]
+			tadj[next[i]] = j
+			if tval != nil {
+				tval[next[i]] = a.Values[p]
+			}
+			next[i]++
+		}
+	}
+}
+
 // SortColumns sorts the row indices (and matching values) within every
-// column in place. It runs a double transpose, which is O(nnz) and stable.
+// column in place. The sort is stable: entries with equal row indices keep
+// their relative order, which COO.ToCSC relies on to sum duplicates in
+// insertion order.
 func (a *CSC) SortColumns() {
-	s := a.Transpose().Transpose()
-	copy(a.Colptr, s.Colptr)
-	copy(a.Rowidx, s.Rowidx)
-	copy(a.Values, s.Values)
+	for j := 0; j < a.N; j++ {
+		p0, p1 := a.Colptr[j], a.Colptr[j+1]
+		sortColumn(a.Rowidx[p0:p1], a.Values[p0:p1])
+	}
+}
+
+// shortColumn is the longest column sortColumn insertion-sorts; longer
+// columns (dense rows and columns of circuit matrices reach thousands of
+// entries) take the O(k log² k) stable merge sort instead of O(k²).
+const shortColumn = 32
+
+// sortColumn stably sorts one column's row indices, carrying the matching
+// payload entries (values or entry-map positions) along.
+func sortColumn[T any](rows []int, payload []T) {
+	if len(rows) > shortColumn {
+		if slices.IsSorted(rows) {
+			return
+		}
+		type entry struct {
+			row int
+			v   T
+		}
+		es := make([]entry, len(rows))
+		for i, r := range rows {
+			es[i] = entry{r, payload[i]}
+		}
+		slices.SortStableFunc(es, func(x, y entry) int { return cmp.Compare(x.row, y.row) })
+		for i, e := range es {
+			rows[i], payload[i] = e.row, e.v
+		}
+		return
+	}
+	for i := 1; i < len(rows); i++ {
+		r, v := rows[i], payload[i]
+		j := i - 1
+		for j >= 0 && rows[j] > r {
+			rows[j+1], payload[j+1] = rows[j], payload[j]
+			j--
+		}
+		rows[j+1], payload[j+1] = r, v
+	}
 }
 
 // Permute returns B = A(p, q): B[i][j] = A[p[i]][q[j]]. Either permutation
 // may be nil, meaning identity. Columns of the result are sorted.
 func (a *CSC) Permute(p, q []int) *CSC {
-	pinv := InversePerm(p)
-	b := &CSC{
-		M:      a.M,
-		N:      a.N,
-		Colptr: make([]int, a.N+1),
-		Rowidx: make([]int, a.Nnz()),
-		Values: make([]float64, a.Nnz()),
-	}
-	nz := 0
-	for k := 0; k < a.N; k++ {
-		j := k
-		if q != nil {
-			j = q[k]
-		}
-		b.Colptr[k] = nz
-		for t := a.Colptr[j]; t < a.Colptr[j+1]; t++ {
-			i := a.Rowidx[t]
-			if pinv != nil {
-				i = pinv[i]
-			}
-			b.Rowidx[nz] = i
-			b.Values[nz] = a.Values[t]
-			nz++
-		}
-	}
-	b.Colptr[a.N] = nz
-	b.SortColumns()
+	b, _ := a.PermuteWithMap(p, q)
 	return b
 }
 
@@ -225,13 +259,7 @@ func (a *CSC) Permute(p, q []int) *CSC {
 func (a *CSC) PermuteWithMap(p, q []int) (*CSC, []int) {
 	pinv := InversePerm(p)
 	nnz := a.Nnz()
-	b := &CSC{
-		M:      a.M,
-		N:      a.N,
-		Colptr: make([]int, a.N+1),
-		Rowidx: make([]int, nnz),
-		Values: make([]float64, nnz),
-	}
+	b := &CSC{M: a.M, N: a.N, Colptr: make([]int, a.N+1), Rowidx: make([]int, nnz)}
 	src := make([]int, nnz)
 	nz := 0
 	for k := 0; k < a.N; k++ {
@@ -249,29 +277,14 @@ func (a *CSC) PermuteWithMap(p, q []int) (*CSC, []int) {
 			src[nz] = t
 			nz++
 		}
+		sortColumn(b.Rowidx[b.Colptr[k]:nz], src[b.Colptr[k]:nz])
 	}
 	b.Colptr[a.N] = nz
-	// Sort each column by row index, carrying the source positions (the
-	// double-transpose trick of SortColumns would lose the map).
-	for k := 0; k < a.N; k++ {
-		sortColumnWithMap(b.Rowidx[b.Colptr[k]:b.Colptr[k+1]], src[b.Colptr[k]:b.Colptr[k+1]])
-	}
-	for t, s := range src {
-		b.Values[t] = a.Values[s]
+	if a.Values != nil {
+		b.Values = make([]float64, nnz)
+		gatherValues(b.Values, a.Values, src)
 	}
 	return b, src
-}
-
-func sortColumnWithMap(rows, src []int) {
-	for i := 1; i < len(rows); i++ {
-		r, s := rows[i], src[i]
-		j := i - 1
-		for j >= 0 && rows[j] > r {
-			rows[j+1], src[j+1] = rows[j], src[j]
-			j--
-		}
-		rows[j+1], src[j+1] = r, s
-	}
 }
 
 // PermuteInto refreshes dst's values from src through an entry map built by
@@ -286,20 +299,7 @@ func PermuteInto(dst, src *CSC, entryMap []int) {
 // the returned block came from entry src[t] of a, so same-pattern refreshes
 // can run through ExtractBlockInto without re-walking the source columns.
 func (a *CSC) ExtractBlockWithMap(r0, r1, c0, c1 int) (*CSC, []int) {
-	b := NewCSC(r1-r0, c1-c0, 0)
-	var src []int
-	for j := c0; j < c1; j++ {
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
-			if i >= r0 && i < r1 {
-				b.Rowidx = append(b.Rowidx, i-r0)
-				b.Values = append(b.Values, a.Values[p])
-				src = append(src, p)
-			}
-		}
-		b.Colptr[j-c0+1] = len(b.Rowidx)
-	}
-	return b, src
+	return a.extractBlock(r0, r1, c0, c1, true)
 }
 
 // ExtractBlockInto refreshes dst's values from src through an entry map
@@ -387,18 +387,6 @@ func IdentityPerm(n int) []int {
 	return p
 }
 
-// ComposePerm returns the permutation r with r[k] = p[q[k]], i.e. applying
-// q first and then p in new-to-old convention: (P_p P_q A)(k,:) = A(r[k],:)
-// holds when r = compose as below. Concretely if B = A(q,:) and C = B(p,:)
-// then C = A(r,:) with r[k] = q[p[k]].
-func ComposePerm(q, p []int) []int {
-	r := make([]int, len(p))
-	for k := range p {
-		r[k] = q[p[k]]
-	}
-	return r
-}
-
 // IsPerm reports whether p is a permutation of 0..len(p)-1.
 func IsPerm(p []int) bool {
 	seen := make([]bool, len(p))
@@ -427,78 +415,109 @@ func (a *CSC) MulVec(y, x []float64) {
 	}
 }
 
-// MulVecT computes y = Aᵀ·x. y must have length N, x length M.
-func (a *CSC) MulVecT(y, x []float64) {
-	for j := 0; j < a.N; j++ {
-		s := 0.0
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			s += a.Values[p] * x[a.Rowidx[p]]
-		}
-		y[j] = s
-	}
-}
-
 // ExtractBlock returns the dense index range A[r0:r1, c0:c1] as a new CSC
 // matrix with local indices (row i of the block is global row r0+i). The
 // source columns must be sorted, which all constructors guarantee.
 func (a *CSC) ExtractBlock(r0, r1, c0, c1 int) *CSC {
-	b := NewCSC(r1-r0, c1-c0, 0)
+	b, _ := a.extractBlock(r0, r1, c0, c1, false)
+	return b
+}
+
+func (a *CSC) extractBlock(r0, r1, c0, c1 int, withMap bool) (*CSC, []int) {
+	nnz := 0
+	for _, i := range a.Rowidx[a.Colptr[c0]:a.Colptr[c1]] {
+		if i >= r0 && i < r1 {
+			nnz++
+		}
+	}
+	b := &CSC{M: r1 - r0, N: c1 - c0, Colptr: make([]int, c1-c0+1), Rowidx: make([]int, 0, nnz)}
+	if a.Values != nil {
+		b.Values = make([]float64, 0, nnz)
+	}
+	var src []int
+	if withMap && nnz > 0 {
+		src = make([]int, 0, nnz)
+	}
 	for j := c0; j < c1; j++ {
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
-			if i >= r0 && i < r1 {
+			if i := a.Rowidx[p]; i >= r0 && i < r1 {
 				b.Rowidx = append(b.Rowidx, i-r0)
-				b.Values = append(b.Values, a.Values[p])
+				if b.Values != nil {
+					b.Values = append(b.Values, a.Values[p])
+				}
+				if withMap {
+					src = append(src, p)
+				}
 			}
 		}
 		b.Colptr[j-c0+1] = len(b.Rowidx)
 	}
-	return b
+	return b, src
 }
 
-// SymbolicUnion returns the pattern of A + Aᵀ as a CSC matrix with all
-// values set to 1. The input must be square. Diagonal entries are included
+// SymbolicUnion returns the pattern of A + Aᵀ as a pattern-only matrix
+// (nil Values) with sorted, duplicate-free columns. The input must be
+// square; its columns need not be sorted. Diagonal entries are included
 // only if present in A. Used to build graphs for ordering algorithms.
+//
+// No sort runs: the output is emitted row by row. Step s appends row s to
+// every column c with A(c,s) != 0 (column s of A) or A(s,c) != 0 (row s of
+// A, read through a values-free transpose), so each output column receives
+// its rows in ascending order and a duplicate can only repeat the row just
+// written.
 func (a *CSC) SymbolicUnion() *CSC {
-	t := a.Transpose()
 	n := a.N
-	out := NewCSC(n, n, a.Nnz()*2)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
+	tptr, tadj, next := make([]int, n+1), make([]int, a.Nnz()), make([]int, n)
+	a.TransposePattern(tptr, tadj, next)
+	// Column c of the output holds at most |col c| + |row c| rows, from
+	// start[c] on; next[c] is its fill cursor.
+	start := make([]int, n+1)
+	for c := 0; c < n; c++ {
+		start[c+1] = start[c] + a.Colptr[c+1] - a.Colptr[c] + tptr[c+1] - tptr[c]
 	}
-	for j := 0; j < n; j++ {
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
-			if mark[i] != j {
-				mark[i] = j
-				out.Rowidx = append(out.Rowidx, i)
-				out.Values = append(out.Values, 1)
-			}
+	rows := make([]int, start[n])
+	copy(next, start[:n])
+	emit := func(c, s int) {
+		if q := next[c]; q == start[c] || rows[q-1] != s {
+			rows[q] = s
+			next[c] = q + 1
 		}
-		for p := t.Colptr[j]; p < t.Colptr[j+1]; p++ {
-			i := t.Rowidx[p]
-			if mark[i] != j {
-				mark[i] = j
-				out.Rowidx = append(out.Rowidx, i)
-				out.Values = append(out.Values, 1)
-			}
-		}
-		out.Colptr[j+1] = len(out.Rowidx)
 	}
-	out.SortColumns()
+	for s := 0; s < n; s++ {
+		for _, c := range a.Rowidx[a.Colptr[s]:a.Colptr[s+1]] {
+			emit(c, s)
+		}
+		for _, c := range tadj[tptr[s]:tptr[s+1]] {
+			emit(c, s)
+		}
+	}
+	// Close the gaps the duplicates left, moving columns left in place.
+	out := &CSC{M: n, N: n, Colptr: start}
+	nz := 0
+	for c := 0; c < n; c++ {
+		p0, p1 := start[c], next[c]
+		start[c] = nz
+		nz += copy(rows[nz:], rows[p0:p1])
+	}
+	start[n] = nz
+	out.Rowidx = rows[:nz]
 	return out
 }
 
 // DropDiagonal returns a copy of a square matrix with diagonal entries
 // removed. Ordering code works on adjacency structures without self loops.
 func (a *CSC) DropDiagonal() *CSC {
-	out := NewCSC(a.M, a.N, a.Nnz())
+	out := &CSC{M: a.M, N: a.N, Colptr: make([]int, a.N+1), Rowidx: make([]int, 0, a.Nnz())}
+	if a.Values != nil {
+		out.Values = make([]float64, 0, a.Nnz())
+	}
 	for j := 0; j < a.N; j++ {
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
 			if a.Rowidx[p] != j {
 				out.Rowidx = append(out.Rowidx, a.Rowidx[p])
-				out.Values = append(out.Values, a.Values[p])
+				if a.Values != nil {
+					out.Values = append(out.Values, a.Values[p])
+				}
 			}
 		}
 		out.Colptr[j+1] = len(out.Rowidx)
