@@ -455,13 +455,14 @@ func (f *Factorization) RefactorPartialCtx(ctx context.Context, a *Matrix, chang
 	return wrapErr(f.num.RefactorPartialCtx(ctx, a, changedCols))
 }
 
-// RefactorAuto is Refactor with automatic change discovery: incoming values
-// are diffed against the cached previous gather entry by entry, and only
-// the blocks a real change reaches are refreshed. Use it when tracking an
-// explicit change set is impractical; the cost over RefactorPartial is one
-// compare per matrix entry, and a fully-changed matrix degrades gracefully
-// to roughly full-Refactor speed. Pool.Acquire uses this path, so pooled
-// lease holders get incremental refreshes transparently.
+// RefactorAuto is Refactor with automatic change discovery: the sweep
+// workers compare the incoming values of the blocks they refresh with the
+// resident ones, bit for bit, while gathering them, and refresh only the
+// blocks a real change reaches. Use it when tracking an explicit change
+// set is impractical; the cost over RefactorPartial is one compare per
+// matrix entry, spread over the workers, and a fully changed matrix costs
+// about what Refactor costs. Pool.Acquire uses this path, so pooled lease
+// holders get incremental refreshes transparently.
 //
 // Exclusion and error contracts match Refactor.
 func (f *Factorization) RefactorAuto(a *Matrix) error {

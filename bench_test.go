@@ -229,20 +229,40 @@ func BenchmarkXyceSequence(b *testing.B) {
 	for t := range mats {
 		mats[t] = matgen.TransientStep(base, t, 777)
 	}
-	b.Run("basker-refactor", func(b *testing.B) {
-		opts := core.DefaultOptions()
-		opts.Threads = 8
-		num, err := core.FactorDirect(mats[0], opts)
-		if err != nil {
-			b.Fatal(err)
+	// Every TransientStep value differs from the previous step's, so
+	// RefactorAuto refreshes every block here: the pair prices change
+	// discovery on an all-changed step against the plain full refresh.
+	for _, auto := range []bool{false, true} {
+		name := "basker-refactor"
+		if auto {
+			name = "basker-refactor-auto"
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := num.Refactor(mats[1+i%(steps-1)]); err != nil {
+		b.Run(name, func(b *testing.B) {
+			opts := core.DefaultOptions()
+			opts.Threads = 2
+			num, err := core.FactorDirect(mats[0], opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			refresh := num.Refactor
+			if auto {
+				refresh = num.RefactorAuto
+			}
+			// Warm the pipeline and the pooled workspaces.
+			for i := 1; i < steps; i++ {
+				if err := refresh(mats[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := refresh(mats[1+i%(steps-1)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("klu-refactor", func(b *testing.B) {
 		num, err := klu.FactorDirect(mats[0], klu.DefaultOptions())
 		if err != nil {

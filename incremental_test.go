@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/matgen"
 )
 
@@ -105,6 +106,65 @@ func TestAffectedSolutionBlocks(t *testing.T) {
 		if !affected[f.BlockOfColumn(j)] && after[j] != before[j] {
 			t.Fatalf("solution component %d (clean block %d) changed: %v -> %v",
 				j, f.BlockOfColumn(j), after[j], before[j])
+		}
+	}
+}
+
+// TestRefactorAutoOffDiagonalOnly changes only coarse off-diagonal entries
+// (couplings between BTF blocks): RefactorAuto must rework no block, yet
+// carry the new couplings into the solve, which must then be bitwise equal
+// to a fresh factorization of the new matrix under the same analysis.
+func TestRefactorAutoOffDiagonalOnly(t *testing.T) {
+	a := matgen.XyceSequenceBase(1)
+	for _, threads := range []int{1, 2, 4} {
+		f, err := New(Options{Threads: threads}).Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sym := f.num.Sym
+		rowPos := make([]int, sym.N) // original row -> permuted row
+		for r, i := range sym.RowPerm {
+			rowPos[i] = r
+		}
+		a2 := a.Clone()
+		changed := 0
+		for k, j := range sym.ColPerm {
+			for p := a2.Colptr[j]; p < a2.Colptr[j+1]; p++ {
+				if sym.BlockOf(rowPos[a2.Rowidx[p]]) != sym.BlockOf(k) {
+					a2.Values[p] *= 1.5
+					changed++
+				}
+			}
+		}
+		if changed == 0 {
+			t.Fatalf("threads %d: matrix has no coarse off-diagonal entries", threads)
+		}
+		if err := f.RefactorAuto(a2); err != nil {
+			t.Fatal(err)
+		}
+		if st := f.Stats(a2); st.DirtyBlocks != 0 {
+			t.Fatalf("threads %d: off-diagonal-only change reworked %d blocks, want 0", threads, st.DirtyBlocks)
+		}
+		num, err := core.Factor(a2, sym)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := newFactorization(num)
+		b := make([]float64, a2.N)
+		for i := range b {
+			b[i] = 1 + float64(i%7)
+		}
+		got, want := append([]float64(nil), b...), append([]float64(nil), b...)
+		if err := f.Solve(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Solve(want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("threads %d: x[%d] = %v, fresh factorization gives %v", threads, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -226,10 +226,24 @@ type refactorPipeline struct {
 	// the Numeric's factorWS pool, shared with the fresh sweep.)
 	smallSub []*sparse.CSC
 	smallSrc [][]int
-	// sig has one completion slot per coarse block; the driver joins the
-	// sweep point-to-point on this fabric (the refactor-side reuse of the
-	// Signals design) and it is reset, never reallocated, between sweeps.
+	// gather[blk] is coarse block blk's owner-computes gather plan: the
+	// worker that refreshes a block gathers its values from the caller.
+	gather []blockGather
+	// sig has one completion slot per coarse block; an armed sweep joins on
+	// it point-to-point (the EpochSignals fabric) and the stall watchdog
+	// names the stuck block from it. Reset, never reallocated, between
+	// sweeps.
 	sig *EpochSignals
+	// mode and av are the running sweep's kind and caller values, written
+	// by the driver before any worker launches.
+	mode refreshMode
+	av   []float64
+	// runND[blk] (fine-ND blocks) and runPart[t] (fine-BTF workers) are the
+	// sweep's prebuilt goroutine bodies and wg their join, so launching a
+	// sweep allocates nothing.
+	runND   []func()
+	runPart []func()
+	wg      sync.WaitGroup
 	// errs[blk] records a failed block refresh; reset each sweep.
 	errs []error
 	// changed reports that a fallback replaced a block's factors this
@@ -1033,10 +1047,11 @@ func FactorDirectCtx(ctx context.Context, a *sparse.CSC, opts Options) (*Numeric
 // The first call builds the numeric-scatter pipeline (entry maps from the
 // caller's CSC into the permuted storage and every diagonal block, pooled
 // per-worker workspaces, a resettable completion fabric); it is published
-// into the Numeric only once fully built. Every subsequent call is a pure
-// value gather plus per-block numeric refreshes — zero allocations in
-// steady state — with all coarse blocks swept by one unified scheduler, so
-// fine-ND blocks refactor concurrently with the fine-BTF partition. A small
+// into the Numeric only once fully built. In every subsequent call each
+// worker gathers the values of the blocks it refreshes straight from the
+// caller's CSC and refreshes them in place — zero allocations in steady
+// state — with all coarse blocks swept by one unified scheduler, so fine-ND
+// blocks refactor concurrently with the fine-BTF partition. A small
 // block whose reused pivot drifts to zero (gp.ErrSingular) falls back to a
 // fresh pivoting factorization of that block alone; fine-ND blocks fall
 // back to a fresh parallel factorization of that block. Replacement factors
@@ -1068,8 +1083,8 @@ func (num *Numeric) RefactorCtx(ctx context.Context, a *sparse.CSC) (err error) 
 	if ctx != nil && ctx.Err() != nil {
 		return CancelCause(ctx)
 	}
-	// Serial-path panic isolation (parallel workers recover in
-	// refactorParallel); a recovered panic poisons the numeric.
+	// Serial-path panic isolation (parallel workers recover in their own
+	// goroutines); a recovered panic poisons the numeric.
 	defer func() {
 		if r := recover(); r != nil {
 			num.notePanic(r)
@@ -1084,87 +1099,13 @@ func (num *Numeric) RefactorCtx(ctx context.Context, a *sparse.CSC) (err error) 
 		}
 		num.pipe = pipe
 	}
-	pipe := num.pipe
-	if err := pipe.checkPattern(a); err != nil {
+	if err := num.pipe.checkPattern(a); err != nil {
 		return err
 	}
 	// Stragglers of a previous cancelled/stalled sweep still read permuted
-	// storage and own their workspaces; wait them out before the gather.
+	// storage and own their workspaces; wait them out before the sweep.
 	num.sweep.drain()
-	rec := sym.Opts.Trace
-	sweep := rec.BeginSweep(trace.PhaseRefactor)
-	defer sweep.End()
-	// Value gather: the caller's CSC lands directly in permuted storage.
-	gatherStart := rec.Now()
-	sparse.PermuteInto(num.Perm, a, pipe.permMap)
-	if rec != nil {
-		rec.Record(trace.Event{Start: gatherStart, End: rec.Now(),
-			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindGather, Phase: trace.PhaseRefactor})
-	}
-	for i := range pipe.errs {
-		pipe.errs[i] = nil
-	}
-	for t := range num.btfBusy {
-		num.btfBusy[t] = 0
-	}
-	num.SyncWaits = 0
-	num.SyncWaitNs = 0
-	num.ndSim = 0
-	pipe.sig.Reset()
-	armed := MonitorArmed(ctx, sym.Opts.StallTimeout)
-	num.sweep.BeginSweep(armed)
-	var mon *SweepMonitor
-	if armed {
-		mon = StartSweepMonitor(MonitorSpec{
-			Ctx: ctx, Stall: sym.Opts.StallTimeout, Sweep: "refactor",
-			Ctl:     &num.sweep,
-			Pending: func() (int, int) { return num.pendingCoarse(pipe.sig) },
-		})
-	}
-	defer func() {
-		if merr := mon.Stop(); merr != nil {
-			num.incPoisoned = true
-			err = merr
-		}
-	}()
-	nt := sym.Opts.threads()
-	if nt == 1 {
-		for blk := 0; blk < sym.NumBlocks(); blk++ {
-			num.refactorBlock(blk, 0)
-		}
-	} else {
-		num.refactorParallel(nt)
-	}
-	if perr := num.takePanicErr(); perr != nil {
-		num.incPoisoned = true
-		return perr
-	}
-	if num.sweep.Canceled() {
-		// Cancelled mid-sweep: stragglers may still be refreshing blocks,
-		// so no post-processing may touch them. The deferred monitor stop
-		// replaces this marker with the typed cancellation error.
-		num.incPoisoned = true
-		return errSweepAborted
-	}
-	for _, err := range pipe.errs {
-		if err != nil {
-			num.incPoisoned = true
-			return err
-		}
-	}
-	for blk := 0; blk < sym.NumBlocks(); blk++ {
-		if sym.kind[blk] == blockND {
-			num.SyncWaits += num.nd[blk].SyncWaits
-			num.SyncWaitNs += num.nd[blk].SyncWaitNs
-			num.ndSim += num.nd[blk].simSeconds()
-		}
-	}
-	if pipe.changed.Load() {
-		num.nnzLU = num.countNnzLU()
-		pipe.changed.Store(false)
-	}
-	num.incPoisoned = false
-	return nil
+	return num.refresh(ctx, a.Values, refreshFull)
 }
 
 // buildPipeline constructs the refactorization pipeline from the first
@@ -1181,6 +1122,7 @@ func (num *Numeric) buildPipeline(a *sparse.CSC) (*refactorPipeline, error) {
 		smallSrc: make([][]int, nblocks),
 		sig:      NewEpochSignals(nblocks),
 		errs:     make([]error, nblocks),
+		runND:    make([]func(), nblocks),
 	}
 	pipe.sig.Bind(&num.sweep)
 	if num.planned && sym.plan.matches(a) {
@@ -1206,13 +1148,16 @@ func (num *Numeric) buildPipeline(a *sparse.CSC) (*refactorPipeline, error) {
 		pipe.colptr = append([]int(nil), a.Colptr...)
 		pipe.rowidx = append([]int(nil), a.Rowidx...)
 	}
+	if len(pipe.rowidx) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d entries overflow the int32 gather maps", len(pipe.rowidx))
+	}
 	for blk := 0; blk < nblocks; blk++ {
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 		switch sym.kind[blk] {
 		case blockSmall:
 			if num.planned {
-				// Reuse the pooled gather block of the factor fast path (its
-				// values are scratch between sweeps either way).
+				// Reuse the pooled gather block of the factor fast path: both
+				// sweeps leave it holding the block's current values.
 				sub := num.smallIn[blk]
 				if sub == nil {
 					sub = sym.plan.smallPat[blk].SharePattern()
@@ -1226,10 +1171,16 @@ func (num *Numeric) buildPipeline(a *sparse.CSC) (*refactorPipeline, error) {
 				pipe.smallSrc[blk] = src
 			}
 		case blockND:
-			num.nd[blk].ensureRefactorState(num.Perm, r0)
+			num.nd[blk].ensureRefactorState()
+			pipe.runND[blk] = func() { num.ndBlockWorker(blk) }
 		}
 	}
+	pipe.gather = num.buildGather(pipe)
 	nt := sym.Opts.threads()
+	pipe.runPart = make([]func(), nt)
+	for t := range pipe.runPart {
+		pipe.runPart[t] = func() { num.partitionWorker(t) }
+	}
 	owned := make([]bool, nblocks)
 	for blk := 0; blk < nblocks; blk++ {
 		if sym.kind[blk] == blockND {
@@ -1247,162 +1198,6 @@ func (num *Numeric) buildPipeline(a *sparse.CSC) (*refactorPipeline, error) {
 		}
 	}
 	return pipe, nil
-}
-
-// refactorParallel is the unified refactor scheduler: every fine-ND block
-// gets its own cooperative parallel region and the fine-BTF partition runs
-// on its flop-balanced worker sweeps (Algorithm 2), all concurrently. The
-// driver joins the sweep point-to-point on the per-block completion fabric
-// rather than with a barrier, so independent ND blocks overlap both each
-// other and the small-block sweeps.
-func (num *Numeric) refactorParallel(nt int) {
-	sym := num.Sym
-	pipe := num.pipe
-	// Blocks no worker owns (none in practice) are refreshed inline before
-	// any worker starts, so the join below cannot deadlock and worker 0's
-	// workspace is never shared with a live goroutine.
-	for _, blk := range pipe.unowned {
-		num.refactorBlock(blk, 0)
-	}
-	inject := sym.Opts.Inject
-	nblocks := sym.NumBlocks()
-	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] != blockND {
-			continue
-		}
-		num.sweep.addWorker()
-		go func(blk int) {
-			defer num.sweep.workerDone()
-			// Force-release the owned slot on panic (Set is idempotent), so
-			// the driver's point-to-point join quiesces every sibling.
-			defer num.recoverRelease(pipe.sig, []int{blk})
-			inject.WorkerPanic(faultinject.SweepRefactor, blk)
-			num.refactorBlock(blk, 0)
-		}(blk)
-	}
-	for t := 0; t < nt; t++ {
-		if len(sym.partition[t]) == 0 {
-			continue
-		}
-		num.sweep.addWorker()
-		go func(t int) {
-			defer num.sweep.workerDone()
-			defer num.recoverRelease(pipe.sig, sym.partition[t])
-			inject.WorkerPanic(faultinject.SweepRefactor, nblocks+t)
-			for _, blk := range sym.partition[t] {
-				num.refactorBlock(blk, t)
-			}
-		}(t)
-	}
-	for blk := 0; blk < nblocks; blk++ {
-		if !pipe.sig.Wait(blk) {
-			// Only external cancellation unblocks this join with false:
-			// return early with the monitor's typed error; stragglers drain
-			// at the next sweep entry.
-			break
-		}
-	}
-}
-
-// refactorBlock refreshes one coarse block in place (worker index t selects
-// the pooled fine-BTF workspace and timing slot) and signals its completion
-// slot. A reused pivot sequence defeated by the new values (gp.ErrSingular)
-// triggers a per-block fallback to a fresh pivoting factorization; the
-// replacement is published only after it is fully built, and the sweep
-// carries on with the remaining blocks.
-func (num *Numeric) refactorBlock(blk, t int) {
-	sym := num.Sym
-	pipe := num.pipe
-	if num.sweep.Canceled() {
-		pipe.sig.Set(blk)
-		return
-	}
-	inject := sym.Opts.Inject
-	switch sym.kind[blk] {
-	case blockSmall:
-		num.hookStart(blk, false)
-		sub := pipe.smallSub[blk]
-		sparse.ExtractBlockInto(sub, num.Perm, pipe.smallSrc[blk])
-		if inject.KernelNaN(faultinject.SweepRefactor, blk) && sub.Nnz() > 0 {
-			sub.Values[0] = nan()
-		}
-		t0 := time.Now()
-		var err error
-		if inject.PivotFail(faultinject.SweepRefactor, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.small[blk].Refactor(sub, num.workerWS(t))
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift: re-pivot this block alone. A second armed
-			// PivotFail also takes down the fallback, exercising the
-			// poisoned-numeric path.
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepRefactor, blk) {
-				err = gp.ErrSingular
-			} else {
-				var f *gp.Factors
-				f, err = gp.Factor(sub, sym.estNnz[blk], num.gpOpts(), num.workerWS(t))
-				if err == nil {
-					num.small[blk] = f
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		d := time.Since(t0)
-		num.btfBusy[t] += d.Seconds()
-		if rec := sym.Opts.Trace; rec != nil {
-			end := rec.Now()
-			rec.Record(trace.Event{Start: end - d.Nanoseconds(), End: end,
-				Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: trace.PhaseRefactor})
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor small block %d: %w", blk, err)
-		}
-		num.hookDone(blk, false)
-		inject.StallPoint(faultinject.SweepRefactor, blk)
-		pipe.sig.Set(blk)
-	case blockND:
-		num.hookStart(blk, true)
-		r0 := sym.BlockPtr[blk]
-		if inject.KernelNaN(faultinject.SweepRefactor, blk) {
-			poisonColumnRange(num.Perm, r0, sym.BlockPtr[blk+1])
-		}
-		var err error
-		if inject.PivotFail(faultinject.SweepRefactor, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.nd[blk].refactorInPlace(num.Perm, r0)
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift inside the 2D hierarchy: rebuild this coarse
-			// block with a fresh parallel factorization (new pivots),
-			// published only once completely built.
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepRefactor, blk) {
-				err = gp.ErrSingular
-			} else {
-				var grid *ndGrid
-				if num.planned {
-					grid = sym.ndsym[blk].grid
-				}
-				var fresh *ndNum
-				fresh, err = factorND(num.Perm, blk, r0, sym.ndsym[blk], num.sweepOpts(), grid, nil)
-				if err == nil {
-					fresh.ensureRefactorState(num.Perm, r0)
-					num.nd[blk] = fresh
-					num.remapBlockDst(blk)
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor nd block %d: %w", blk, err)
-		}
-		num.hookDone(blk, true)
-		inject.StallPoint(faultinject.SweepRefactor, blk)
-		pipe.sig.Set(blk)
-	}
 }
 
 // Solve solves A x = rhs in place. It allocates its scratch; concurrent

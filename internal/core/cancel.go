@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,9 +97,10 @@ func MonitorArmed(ctx context.Context, stall time.Duration) bool {
 }
 
 // SweepControl is the shared cancellation fabric of one sweep owner. All
-// EpochSignals bound to it poll its cancel flag on their blocked slow path
-// and bump its progress counter on every Set; ablation barriers register so
-// cancellation can break them (a condition-variable wait cannot poll).
+// EpochSignals bound to it check its cancel flag on their blocked slow path
+// and bump its progress counter on every Set; a parked wait is listed on
+// the control and ablation barriers register, so cancellation can wake or
+// break them (a condition-variable wait cannot poll).
 //
 // The control is single-sweep-at-a-time, like the fabrics it serves:
 // BeginSweep must not race any worker of a previous sweep (the drivers
@@ -111,11 +113,6 @@ type SweepControl struct {
 	// before any shared state is reset.
 	inflight atomic.Int64
 
-	// cancelCh is the channel face of the cancel flag for the one-shot
-	// Signals fabric (whose waits block in a select). Allocated only for
-	// armed sweeps; written in BeginSweep, strictly before workers launch.
-	cancelCh chan struct{}
-
 	// armed mirrors the BeginSweep argument: only monitored sweeps need
 	// the progress heartbeat, so bound fabrics skip the per-block atomic
 	// add entirely on unarmed sweeps (a plain read — BeginSweep writes it
@@ -124,42 +121,55 @@ type SweepControl struct {
 
 	mu       sync.Mutex
 	barriers []*barrier
+	// parked lists the bound fabrics that have a waiter parked, once per
+	// parked waiter, so Cancel can wake them.
+	parked []*EpochSignals
 }
 
 // BeginSweep re-arms the control for a new sweep. armed selects whether a
-// monitor will watch this sweep (only then is the Signals-facing cancel
-// channel allocated). Callers must have drained every straggler first.
+// monitor will watch this sweep. Callers must have drained every straggler
+// first.
 func (c *SweepControl) BeginSweep(armed bool) {
 	c.flag.Store(false)
 	c.armed = armed
-	if armed {
-		c.cancelCh = make(chan struct{})
-	} else {
-		c.cancelCh = nil
-	}
 }
 
 // Cancel aborts the current sweep: every bound fabric's blocked wait
-// returns false, the Signals cancel channel fires, and every registered
-// ablation barrier is broken with the cancel cause.
+// returns false and every registered ablation barrier is broken with the
+// cancel cause.
 func (c *SweepControl) Cancel() {
 	c.flag.Store(true)
-	if c.cancelCh != nil {
-		close(c.cancelCh)
-	}
 	c.mu.Lock()
 	for _, b := range c.barriers {
 		b.breakCanceled()
+	}
+	for _, s := range c.parked {
+		s.wakeAll()
+	}
+	c.mu.Unlock()
+}
+
+// parkedOn lists fabric s while one of its waiters is parked; unparked
+// takes one listing off again.
+func (c *SweepControl) parkedOn(s *EpochSignals) {
+	c.mu.Lock()
+	c.parked = append(c.parked, s)
+	c.mu.Unlock()
+}
+
+func (c *SweepControl) unparked(s *EpochSignals) {
+	c.mu.Lock()
+	if k := slices.Index(c.parked, s); k >= 0 {
+		last := len(c.parked) - 1
+		c.parked[k] = c.parked[last]
+		c.parked[last] = nil
+		c.parked = c.parked[:last]
 	}
 	c.mu.Unlock()
 }
 
 // Canceled reports whether the current sweep has been cancelled.
 func (c *SweepControl) Canceled() bool { return c.flag.Load() }
-
-// CancelChan exposes the channel face of the cancel flag for one-shot
-// channel-based waiters (nil on unarmed sweeps; a nil channel never fires).
-func (c *SweepControl) CancelChan() <-chan struct{} { return c.cancelCh }
 
 // Poll adapts the cancel flag to the gp.Options.Poll hook: long kernels
 // call it every few hundred columns and unwind on a non-nil return.

@@ -2,15 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/gp"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 // incState is the change-tracking side of the incremental refactorization
@@ -19,8 +13,10 @@ import (
 // sweep skips work at — coarse BTF blocks, the dirty columns inside a
 // diagonal block (gp.RefactorSelective recomputes their dependency
 // closure alone), and the (row-node, column-node) pairs of each fine-ND
-// block's 2D hierarchy. All marking is O(size of the change set); nothing
-// here allocates after construction.
+// block's 2D hierarchy. RefactorPartial marks in O(size of the change
+// set) on the driver; RefactorAuto's sweep workers mark while they
+// diff-gather the blocks they own. Nothing here allocates after
+// construction.
 type incState struct {
 	// permColOf[j] is the permuted column position of original column j
 	// (the inverse of Sym.ColPerm).
@@ -48,15 +44,13 @@ type incState struct {
 	// 2D-hierarchy input storage, so the partial sweep never re-extracts a
 	// block and the marking cost stays proportional to the change set.
 	aDst []*sparse.CSC
-	aPos []int
-	// dirty counts the coarse blocks marked this epoch.
-	dirty int
+	aPos []int32
 }
 
 // ndIncState tracks dirtiness inside one fine-ND block at tree-node
 // granularity: pairStamp marks the (row-node, column-node) input blocks a
 // change set touches, and chg is the per-sweep materialized changed-kernel
-// matrix the dependency recurrences of computeChanged fill from those
+// matrix the dependency recurrences of decideColumn fill from those
 // marks.
 type ndIncState struct {
 	// nodeOf[c] is the tree node whose index range contains block-local
@@ -105,7 +99,7 @@ func (num *Numeric) ensureIncremental(a *sparse.CSC) error {
 		colStamp:  make([]uint64, sym.N),
 		rerun:     make([]bool, sym.N),
 		aDst:      make([]*sparse.CSC, num.Perm.Nnz()),
-		aPos:      make([]int, num.Perm.Nnz()),
+		aPos:      make([]int32, num.Perm.Nnz()),
 	}
 	for k, j := range sym.ColPerm {
 		inc.permColOf[j] = k
@@ -116,7 +110,7 @@ func (num *Numeric) ensureIncremental(a *sparse.CSC) error {
 			sub := num.pipe.smallSub[blk]
 			for q, src := range num.pipe.smallSrc[blk] {
 				inc.aDst[src] = sub
-				inc.aPos[src] = q
+				inc.aPos[src] = int32(q)
 			}
 		case blockND:
 			ns := sym.ndsym[blk]
@@ -245,21 +239,25 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 		}
 	}
 	inc.epoch++
-	inc.dirty = 0
 	for _, j := range changed {
 		num.gatherChangedColumn(a, inc.permColOf[j])
 	}
-	return num.refactorPartialSweep(ctx)
+	return num.refresh(ctx, nil, refreshPartial)
 }
 
-// RefactorAuto is Refactor with automatic change discovery: the incoming
-// values are diffed against the cached previous gather while they are
-// scattered into permuted storage, and the sweep then refreshes only the
-// blocks the diff reached — callers that cannot (or do not want to) track
-// their own change sets get the incremental fast path transparently, for
-// one compare per entry on top of the gather Refactor already performs. A
-// fully-changed matrix degrades gracefully to roughly full-sweep cost (the
-// diff pass replaces the flat gather).
+// RefactorAuto is Refactor with automatic change discovery: every sweep
+// worker diffs the incoming values of the blocks it refreshes against
+// their resident input storage while it gathers them (bit patterns, so a
+// signed-zero restamp counts as a change) and refreshes only the blocks
+// whose values changed. Callers that cannot (or do not want to) track
+// their own change sets get the incremental fast path transparently. The
+// compare rides the gather Refactor performs anyway, in parallel inside
+// the sweep, so a fully changed matrix costs about what Refactor costs: on
+// the all-changed Xyce transient steps at Threads 2 on a 2-CPU host,
+// RefactorAuto took 1.03–1.06× Refactor's time (the XyceSequence rows of
+// `go test -run xxx -bench XyceSequence/basker -benchmem .` compare the
+// two). Values that change only in coarse off-diagonal entries are copied
+// but dirty no block.
 //
 // Exclusion and error contracts are Refactor's.
 func (num *Numeric) RefactorAuto(a *sparse.CSC) error {
@@ -291,26 +289,11 @@ func (num *Numeric) RefactorAutoCtx(ctx context.Context, a *sparse.CSC) (err err
 	if num.incPoisoned {
 		return num.RefactorCtx(ctx, a)
 	}
-	pipe := num.pipe
-	if err := pipe.checkPattern(a); err != nil {
+	if err := num.pipe.checkPattern(a); err != nil {
 		return err
 	}
-	inc := num.inc
-	inc.epoch++
-	inc.dirty = 0
-	for k := 0; k < sym.N; k++ {
-		num.diffColumn(a, k)
-	}
-	return num.refactorPartialSweep(ctx)
-}
-
-// markDirtyBlock records coarse block blk as dirty this epoch.
-func (num *Numeric) markDirtyBlock(blk int) {
-	inc := num.inc
-	if inc.blkStamp[blk] != inc.epoch {
-		inc.blkStamp[blk] = inc.epoch
-		inc.dirty++
-	}
+	num.inc.epoch++
+	return num.refresh(ctx, a.Values, refreshAuto)
 }
 
 // markNDNode records a change in node jn at node-local column c.
@@ -336,7 +319,7 @@ func (num *Numeric) gatherChangedColumn(a *sparse.CSC, k int) {
 	blk := sym.blockOf[k]
 	r0 := sym.BlockPtr[blk]
 	inc.colStamp[k] = inc.epoch
-	num.markDirtyBlock(blk)
+	inc.blkStamp[blk] = inc.epoch
 	pv := perm.Values
 	if sym.kind[blk] != blockND {
 		for t := p0; t < p1; t++ {
@@ -360,53 +343,6 @@ func (num *Numeric) gatherChangedColumn(a *sparse.CSC, k int) {
 	}
 }
 
-// diffColumn scatters permuted column k of a into permuted storage entry by
-// entry, comparing against the resident values; real changes are forwarded
-// through the reverse scatter map and mark the dirty structures, but only
-// when they land inside the diagonal block (coarse off-diagonal entries
-// feed solves straight from permuted storage and never dirty a factor).
-func (num *Numeric) diffColumn(a *sparse.CSC, k int) {
-	sym, pipe, inc := num.Sym, num.pipe, num.inc
-	perm := num.Perm
-	p0, p1 := perm.Colptr[k], perm.Colptr[k+1]
-	blk := sym.blockOf[k]
-	r0 := sym.BlockPtr[blk]
-	nd := sym.kind[blk] == blockND
-	var st *ndIncState
-	var nb, jn int
-	if nd {
-		st = inc.nd[blk]
-		nb = sym.ndsym[blk].nb
-		jn = st.nodeOf[k-r0]
-	}
-	av, pv := a.Values, perm.Values
-	inBlock := false
-	for t := p0; t < p1; t++ {
-		v := av[pipe.permMap[t]]
-		if pv[t] == v {
-			continue
-		}
-		pv[t] = v
-		d := inc.aDst[t]
-		if d == nil {
-			continue
-		}
-		d.Values[inc.aPos[t]] = v
-		inBlock = true
-		if nd {
-			st.pairStamp[st.nodeOf[perm.Rowidx[t]-r0]*nb+jn] = inc.epoch
-		}
-	}
-	if !inBlock {
-		return
-	}
-	inc.colStamp[k] = inc.epoch
-	num.markDirtyBlock(blk)
-	if nd {
-		st.markNDNode(jn, st.colOf[k-r0], inc.epoch)
-	}
-}
-
 // remapBlockDst re-points the reverse scatter map at coarse block blk's
 // current input storage — required after an ND pivot-drift fallback
 // replaces the whole 2D hierarchy (small-block fallbacks keep their gather
@@ -425,377 +361,58 @@ func (num *Numeric) remapBlockDst(blk int) {
 			b := ndn.a[i][j]
 			for q, s := range src {
 				inc.aDst[s] = b
-				inc.aPos[s] = q
+				inc.aPos[s] = int32(q)
 			}
 		}
 	}
 }
 
-// computeChanged materializes st.chg, the changed-kernel matrix of one
-// fine-ND block, from the epoch's dirty input pairs by walking the 2D
-// sweep's dependency structure in schedule order: a kernel must rerun when
-// its own input block changed, when a factor it consumes was itself rerun,
-// or when any (lower, upper) pair feeding its reduction changed. This is
-// the fine-grained form of "a dirty separator column dirties its ancestors
-// up the ND tree": dirtiness propagates upward exactly along the paper's
-// dependency tree, and nothing else reruns.
-func (ndn *ndNum) computeChanged(st *ndIncState, epoch uint64) bool {
+// decideColumn fills column j of st.chg, the changed-kernel matrix of one
+// fine-ND block, from the epoch's dirty input pairs, and resolves
+// st.first[j]. Columns are decided in the sweep's dependency order (every
+// column below j first, see arrive), which is the schedule order of
+// the 2D sweep: a kernel must rerun when its own input block changed, when
+// a factor it consumes was itself rerun, or when any (lower, upper) pair
+// feeding its reduction changed. This is the fine-grained form of "a dirty
+// separator column dirties its ancestors up the ND tree": dirtiness
+// propagates upward exactly along the paper's dependency tree, and nothing
+// else reruns.
+func (ndn *ndNum) decideColumn(st *ndIncState, j int) {
 	s := ndn.sym
 	nb := s.nb
 	chg := st.chg
-	for i := range chg {
-		chg[i] = false
+	epoch := st.epoch
+	for i := 0; i < nb; i++ {
+		chg[i*nb+j] = false
 	}
-	pair := func(i, j int) bool { return st.pairStamp[i*nb+j] == epoch }
-	st.epoch = epoch
-	for v := range st.first {
-		if st.nodeStamp[v] == epoch {
-			st.first[v] = st.nodeFirst[v]
-		} else {
-			st.first[v] = 0
-		}
+	pair := func(i int) bool { return st.pairStamp[i*nb+j] == epoch }
+	st.first[j] = 0
+	if st.nodeStamp[j] == epoch {
+		st.first[j] = st.nodeFirst[j]
 	}
-	any := false
-	for j := 0; j < nb; j++ {
-		// Upper targets U_kp,j for descendants kp of j, in schedule order:
-		// rerun when the input block changed, the solving diagonal factor
-		// LU_kp,kp was rerun, or a reduction term from subtree(kp) changed.
-		for kp := s.subLo[j]; kp < j; kp++ {
-			c := pair(kp, j) || chg[kp*nb+kp]
-			for k2 := s.subLo[kp]; k2 < kp && !c; k2++ {
-				c = chg[kp*nb+k2] || chg[k2*nb+j]
-			}
-			if c {
-				chg[kp*nb+j] = true
-				any = true
-			}
+	// Upper targets U_kp,j for descendants kp of j, in schedule order:
+	// rerun when the input block changed, the solving diagonal factor
+	// LU_kp,kp was rerun, or a reduction term from subtree(kp) changed.
+	for kp := s.subLo[j]; kp < j; kp++ {
+		c := pair(kp) || chg[kp*nb+kp]
+		for k2 := s.subLo[kp]; k2 < kp && !c; k2++ {
+			c = chg[kp*nb+k2] || chg[k2*nb+j]
 		}
-		// The diagonal LU_jj: input block or any reduction term.
-		c := pair(j, j)
+		chg[kp*nb+j] = c
+	}
+	// The diagonal LU_jj: input block or any reduction term.
+	c := pair(j)
+	for k2 := s.subLo[j]; k2 < j && !c; k2++ {
+		c = chg[j*nb+k2] || chg[k2*nb+j]
+	}
+	chg[j*nb+j] = c
+	// Lower targets L_ij for ancestors i of j: input block, the (just
+	// decided) diagonal LU_jj, or any reduction term.
+	for _, i := range s.ancestors[j] {
+		c := pair(i) || chg[j*nb+j]
 		for k2 := s.subLo[j]; k2 < j && !c; k2++ {
-			c = chg[j*nb+k2] || chg[k2*nb+j]
+			c = chg[i*nb+k2] || chg[k2*nb+j]
 		}
-		if c {
-			chg[j*nb+j] = true
-			any = true
-		}
-		// Lower targets L_ij for ancestors i of j: input block, the (just
-		// decided) diagonal LU_jj, or any reduction term.
-		for _, i := range s.ancestors[j] {
-			c := pair(i, j) || chg[j*nb+j]
-			for k2 := s.subLo[j]; k2 < j && !c; k2++ {
-				c = chg[i*nb+k2] || chg[k2*nb+j]
-			}
-			if c {
-				chg[i*nb+j] = true
-				any = true
-			}
-		}
-	}
-	return any
-}
-
-// refactorPartialSweep runs the dirty-block refresh: clean coarse blocks
-// have their completion slots pre-armed and are never visited; dirty small
-// blocks refresh their suffix from the first dirty column; dirty fine-ND
-// blocks rerun exactly the kernels computeChanged selected. Scheduling,
-// synchronization, pivot-drift fallbacks and the error contract mirror the
-// full Refactor sweep.
-func (num *Numeric) refactorPartialSweep(ctx context.Context) (err error) {
-	sym := num.Sym
-	pipe := num.pipe
-	inc := num.inc
-	nblocks := sym.NumBlocks()
-	rec := sym.Opts.Trace
-	sweep := rec.BeginSweep(trace.PhasePartial)
-	defer sweep.End()
-	num.lastDirty = inc.dirty
-	num.dirtyTotal += int64(inc.dirty)
-	for i := range pipe.errs {
-		pipe.errs[i] = nil
-	}
-	for t := range num.btfBusy {
-		num.btfBusy[t] = 0
-	}
-	num.SyncWaits = 0
-	num.SyncWaitNs = 0
-	num.ndSim = 0
-	// The load-bearing synchronization of the partial path stays the
-	// WaitGroup / fine-ND epoch flags: coarse diagonal blocks are
-	// independent under refactorization. The coarse fabric is re-armed
-	// anyway — clean blocks pre-set, dirty blocks set on completion — so
-	// the stall watchdog can name the stuck block and an armed sweep can
-	// join on it with early cancellation unwind.
-	pipe.sig.Reset()
-	for blk := 0; blk < nblocks; blk++ {
-		if inc.blkStamp[blk] != inc.epoch {
-			pipe.sig.Set(blk)
-			continue
-		}
-		if sym.kind[blk] == blockND {
-			num.nd[blk].computeChanged(inc.nd[blk], inc.epoch)
-		}
-	}
-	armed := MonitorArmed(ctx, sym.Opts.StallTimeout)
-	num.sweep.BeginSweep(armed)
-	var mon *SweepMonitor
-	if armed {
-		mon = StartSweepMonitor(MonitorSpec{
-			Ctx: ctx, Stall: sym.Opts.StallTimeout,
-			Sweep: "partial refactor", Ctl: &num.sweep,
-			Pending: func() (int, int) { return num.pendingCoarse(pipe.sig) },
-		})
-		defer func() {
-			if merr := mon.Stop(); merr != nil {
-				num.incPoisoned = true
-				err = merr
-			}
-		}()
-	}
-	if inc.dirty > 0 {
-		nt := sym.Opts.threads()
-		if nt == 1 {
-			for blk := 0; blk < nblocks; blk++ {
-				if inc.blkStamp[blk] == inc.epoch {
-					num.refactorBlockPartial(blk, 0)
-				}
-			}
-		} else {
-			num.refactorParallelPartial(nt, armed)
-		}
-	}
-	if perr := num.takePanicErr(); perr != nil {
-		num.incPoisoned = true
-		return perr
-	}
-	if num.sweep.Canceled() {
-		num.incPoisoned = true
-		return errSweepAborted
-	}
-	for _, err := range pipe.errs {
-		if err != nil {
-			num.incPoisoned = true
-			return err
-		}
-	}
-	for blk := 0; blk < nblocks; blk++ {
-		if inc.blkStamp[blk] == inc.epoch && sym.kind[blk] == blockND {
-			num.SyncWaits += num.nd[blk].SyncWaits
-			num.SyncWaitNs += num.nd[blk].SyncWaitNs
-			num.ndSim += num.nd[blk].simSeconds()
-		}
-	}
-	if pipe.changed.Load() {
-		num.nnzLU = num.countNnzLU()
-		pipe.changed.Store(false)
-	}
-	num.incPoisoned = false
-	return nil
-}
-
-// refactorParallelPartial is refactorParallel restricted to dirty blocks:
-// clean blocks were pre-armed by the driver, dirty fine-ND blocks get their
-// cooperative regions, and only fine-BTF workers owning at least one dirty
-// block launch. Unlike the full sweep, the join is a WaitGroup rather than
-// the per-block completion fabric: a partition worker consults the epoch
-// stamps after signalling its last dirty block, so the driver must not
-// start the next sweep's marking until every worker goroutine has exited,
-// not merely until every slot is set.
-func (num *Numeric) refactorParallelPartial(nt int, armed bool) {
-	sym := num.Sym
-	pipe := num.pipe
-	inc := num.inc
-	dirty := func(blk int) bool { return inc.blkStamp[blk] == inc.epoch }
-	for _, blk := range pipe.unowned {
-		if dirty(blk) {
-			num.refactorBlockPartial(blk, 0)
-		}
-	}
-	inject := sym.Opts.Inject
-	nblocks := sym.NumBlocks()
-	var wg sync.WaitGroup
-	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] != blockND || !dirty(blk) {
-			continue
-		}
-		wg.Add(1)
-		num.sweep.addWorker()
-		go func(blk int) {
-			defer num.sweep.workerDone()
-			// The join is the WaitGroup, so panic recovery only needs to
-			// record the error; no completion slots to release — but the
-			// slot is force-set anyway so an armed join quiesces.
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					num.notePanic(r)
-					pipe.sig.Set(blk)
-				}
-			}()
-			inject.WorkerPanic(faultinject.SweepPartial, blk)
-			num.refactorBlockPartial(blk, 0)
-		}(blk)
-	}
-	for t := 0; t < nt; t++ {
-		launch := false
-		for _, blk := range sym.partition[t] {
-			if dirty(blk) {
-				launch = true
-				break
-			}
-		}
-		if !launch {
-			continue
-		}
-		wg.Add(1)
-		num.sweep.addWorker()
-		go func(t int) {
-			defer num.sweep.workerDone()
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					num.notePanic(r)
-					for _, blk := range sym.partition[t] {
-						if dirty(blk) {
-							pipe.sig.Set(blk)
-						}
-					}
-				}
-			}()
-			inject.WorkerPanic(faultinject.SweepPartial, nblocks+t)
-			for _, blk := range sym.partition[t] {
-				if dirty(blk) {
-					num.refactorBlockPartial(blk, t)
-				}
-			}
-		}(t)
-	}
-	if !armed {
-		// A partition worker consults the epoch stamps after signalling its
-		// last dirty block, so the driver must not start the next sweep's
-		// marking until every goroutine exits, not merely until every slot
-		// is set; the full join guarantees that directly.
-		wg.Wait()
-		return
-	}
-	// Armed join: per-block waits break on cancellation so the driver can
-	// return within the watchdog's bound while a stalled worker is still
-	// asleep. Stragglers are drained at the next sweep's entry before any
-	// marking, which restores the epoch-stamp safety the WaitGroup gave.
-	early := false
-	for blk := 0; blk < nblocks; blk++ {
-		if !pipe.sig.Wait(blk) {
-			early = true
-			break
-		}
-	}
-	if !early {
-		wg.Wait()
-	}
-}
-
-// refactorBlockPartial refreshes one dirty coarse block in place and
-// signals its completion slot, with the same pivot-drift fallbacks as
-// refactorBlock: the fallbacks rebuild from permuted storage, which the
-// marking phase keeps fully current, so a partially-dirty block can always
-// recover with a complete re-pivoting.
-func (num *Numeric) refactorBlockPartial(blk, t int) {
-	sym := num.Sym
-	pipe := num.pipe
-	inc := num.inc
-	if num.sweep.Canceled() {
-		pipe.sig.Set(blk)
-		return
-	}
-	inject := sym.Opts.Inject
-	switch sym.kind[blk] {
-	case blockSmall:
-		num.hookStart(blk, false)
-		// The marking phase forwarded every changed value into sub through
-		// the reverse scatter map, so the block input is already current.
-		sub := pipe.smallSub[blk]
-		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-		if inject.KernelNaN(faultinject.SweepPartial, blk) && sub.Nnz() > 0 {
-			sub.Values[0] = nan()
-		}
-		t0 := time.Now()
-		var err error
-		if inject.PivotFail(faultinject.SweepPartial, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.small[blk].RefactorSelective(sub, num.workerWS(t),
-				inc.colStamp[r0:r1], inc.epoch, inc.rerun[r0:r1])
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift: re-pivot this block alone (sub's clean prefix
-			// still holds the resident values, so the fresh factorization
-			// sees the complete current block). A second armed PivotFail
-			// also takes down the fallback (poisoned-numeric path).
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepPartial, blk) {
-				err = gp.ErrSingular
-			} else {
-				var f *gp.Factors
-				f, err = gp.Factor(sub, sym.estNnz[blk], num.gpOpts(), num.workerWS(t))
-				if err == nil {
-					num.small[blk] = f
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		d := time.Since(t0)
-		num.btfBusy[t] += d.Seconds()
-		if rec := sym.Opts.Trace; rec != nil {
-			end := rec.Now()
-			rec.Record(trace.Event{Start: end - d.Nanoseconds(), End: end,
-				Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: trace.PhasePartial})
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor small block %d: %w", blk, err)
-		}
-		num.hookDone(blk, false)
-		inject.StallPoint(faultinject.SweepPartial, blk)
-		pipe.sig.Set(blk)
-	case blockND:
-		num.hookStart(blk, true)
-		r0 := sym.BlockPtr[blk]
-		if inject.KernelNaN(faultinject.SweepPartial, blk) {
-			poisonColumnRange(num.Perm, r0, sym.BlockPtr[blk+1])
-		}
-		var err error
-		if inject.PivotFail(faultinject.SweepPartial, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.nd[blk].refactorSweep(num.Perm, r0, inc.nd[blk])
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift inside the 2D hierarchy: rebuild this coarse
-			// block with a fresh parallel factorization (new pivots); the
-			// rebuild regathers its whole input hierarchy from permuted
-			// storage, published only once completely built.
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepPartial, blk) {
-				err = gp.ErrSingular
-			} else {
-				var grid *ndGrid
-				if num.planned {
-					grid = sym.ndsym[blk].grid
-				}
-				var fresh *ndNum
-				fresh, err = factorND(num.Perm, blk, r0, sym.ndsym[blk], num.sweepOpts(), grid, nil)
-				if err == nil {
-					fresh.ensureRefactorState(num.Perm, r0)
-					num.nd[blk] = fresh
-					num.remapBlockDst(blk)
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor nd block %d: %w", blk, err)
-		}
-		num.hookDone(blk, true)
-		inject.StallPoint(faultinject.SweepPartial, blk)
-		pipe.sig.Set(blk)
+		chg[i*nb+j] = c
 	}
 }

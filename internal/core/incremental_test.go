@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// assertSameFactors compares every factored value of two numerics bitwise:
+// assertSameFactors compares every factored value of two numerics bit for
+// bit (so +0 and −0 differ):
 // small-block L/U values and pivots, and each fine-ND block's diagonal
 // factors, lower and upper off-diagonal blocks. Both numerics must be in
 // refactorization arithmetic (one full Refactor after Factor) — Factor and
@@ -28,7 +30,7 @@ func assertSameFactors(t *testing.T, want, got *Numeric, ctx string) {
 			t.Fatalf("%s: %s: %d vs %d entries", ctx, what, len(b.Values), len(a.Values))
 		}
 		for i, v := range a.Values {
-			if b.Values[i] != v {
+			if math.Float64bits(b.Values[i]) != math.Float64bits(v) {
 				t.Fatalf("%s: %s diverges at entry %d: %v vs %v", ctx, what, i, b.Values[i], v)
 			}
 		}
@@ -68,8 +70,8 @@ func assertSameFactors(t *testing.T, want, got *Numeric, ctx string) {
 	}
 	// The solve also reads permuted off-block values: compare them too.
 	for i, v := range want.Perm.Values {
-		if got.Perm.Values[i] != v {
-			t.Fatalf("%s: permuted values diverge at entry %d", ctx, i)
+		if math.Float64bits(got.Perm.Values[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: permuted values diverge at entry %d: %v vs %v", ctx, i, got.Perm.Values[i], v)
 		}
 	}
 }
@@ -229,21 +231,24 @@ func TestRefactorPartialNoChange(t *testing.T) {
 }
 
 // TestRefactorPartialPivotFallback drifts a small block's pivot to zero
-// through a change set: RefactorPartial must fall back to a fresh pivoting
-// factorization of that block alone, bitwise identical to the full
-// Refactor's own fallback, and recover on the next step.
+// through a change set: RefactorPartial and RefactorAuto must fall back to
+// a fresh pivoting factorization of that block alone, bitwise identical to
+// the full Refactor's own fallback, and recover on the next step. The
+// fallbacks rebuild from the storage the refresh gathers, so this also
+// pins that the gathers keep it current.
 func TestRefactorPartialPivotFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	base := randCircuit(rng, 300, 0.5)
-	full, err := FactorDirect(base, optsWithThreads(2))
-	if err != nil {
-		t.Fatal(err)
+	var nums [3]*Numeric // full, partial, auto
+	for i := range nums {
+		num, err := FactorDirect(base, optsWithThreads(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nums[i] = num
 	}
-	part, err := FactorDirect(base, optsWithThreads(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, num := range []*Numeric{full, part} {
+	full, part, auto := nums[0], nums[1], nums[2]
+	for _, num := range nums {
 		if err := num.Refactor(base); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +269,7 @@ func TestRefactorPartialPivotFallback(t *testing.T) {
 		t.Fatal("no suitable small block in test matrix")
 	}
 	r0 := sym.BlockPtr[target]
-	old := part.small[target]
+	old, oldAuto := part.small[target], auto.small[target]
 	orow := sym.RowPerm[r0+old.P[0]]
 	ocol := sym.ColPerm[r0]
 	a2 := base.Clone()
@@ -284,11 +289,16 @@ func TestRefactorPartialPivotFallback(t *testing.T) {
 	if err := part.RefactorPartial(a2, []int{ocol}); err != nil {
 		t.Fatalf("partial refactor with drifted pivot: %v", err)
 	}
-	if part.small[target] == old {
+	if err := auto.RefactorAuto(a2); err != nil {
+		t.Fatalf("auto refactor with drifted pivot: %v", err)
+	}
+	if part.small[target] == old || auto.small[target] == oldAuto {
 		t.Fatal("expected the fallback to replace the block's factors")
 	}
 	assertSameFactors(t, full, part, "pivot fallback")
+	assertSameFactors(t, full, auto, "auto pivot fallback")
 	solveCheck(t, a2, part, 1e-7)
+	solveCheck(t, a2, auto, 1e-7)
 	// Next step rides the fast path on the new pivots.
 	a3 := matgen.PerturbColumns(a2, []int{ocol}, 2, 77)
 	if err := full.Refactor(a3); err != nil {
@@ -297,7 +307,67 @@ func TestRefactorPartialPivotFallback(t *testing.T) {
 	if err := part.RefactorPartial(a3, []int{ocol}); err != nil {
 		t.Fatalf("partial refactor after fallback: %v", err)
 	}
+	if err := auto.RefactorAuto(a3); err != nil {
+		t.Fatalf("auto refactor after fallback: %v", err)
+	}
 	assertSameFactors(t, full, part, "after fallback")
+	assertSameFactors(t, full, auto, "auto after fallback")
+}
+
+// TestRefactorAutoSignedZero restamps +0 entries to −0: the values compare
+// equal, but a full Refactor stores −0, so RefactorAuto must see the
+// change (it compares bit patterns) and leave permuted storage and every
+// factor bitwise identical to the full refresh.
+func TestRefactorAutoSignedZero(t *testing.T) {
+	base := matgen.XyceSequenceBase(1)
+	pos := base.Clone()
+	var stamped []int
+	for j := 0; j < pos.N && len(stamped) < 200; j++ {
+		for p := pos.Colptr[j]; p < pos.Colptr[j+1] && len(stamped) < 200; p++ {
+			if pos.Rowidx[p] != j && p%7 == 0 {
+				pos.Values[p] = 0
+				stamped = append(stamped, p)
+			}
+		}
+	}
+	if len(stamped) < 200 {
+		t.Fatalf("found %d off-diagonal entries to restamp, want 200", len(stamped))
+	}
+	neg := pos.Clone()
+	for _, p := range stamped {
+		neg.Values[p] = math.Copysign(0, -1)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		sym, err := Analyze(pos, optsWithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nums [2]*Numeric // full, auto
+		for i := range nums {
+			if nums[i], err = Factor(pos, sym); err != nil {
+				t.Fatal(err)
+			}
+			if err := nums[i].Refactor(pos); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := nums[0].Refactor(neg); err != nil {
+			t.Fatal(err)
+		}
+		if err := nums[1].RefactorAuto(neg); err != nil {
+			t.Fatal(err)
+		}
+		negZeros := 0
+		for _, v := range nums[1].Perm.Values {
+			if v == 0 && math.Signbit(v) {
+				negZeros++
+			}
+		}
+		if negZeros != len(stamped) {
+			t.Fatalf("threads %d: permuted storage holds %d negative zeros, want %d", threads, negZeros, len(stamped))
+		}
+		assertSameFactors(t, nums[0], nums[1], "signed-zero restamp")
+	}
 }
 
 // TestRefactorPartialPoisonRecovery: after a failed sweep the incremental

@@ -269,7 +269,7 @@ func (s *ndSym) blockRange(b int) (int, int) {
 // (Algorithm 4 at block granularity; column-level interleaving is replaced
 // by per-block point-to-point flags, which preserves the dependency
 // structure of the paper's dependency tree). Same-pattern numeric
-// refreshes with fixed pivots go through refactorInPlace instead.
+// refreshes with fixed pivots go through refactorSweep instead.
 //
 // The block is coarse BTF block blk (trace labeling only) and occupies
 // [r0, r0+n) of the globally permuted matrix perm. grid supplies the 2D

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -11,9 +13,10 @@ import (
 )
 
 // ndRefactor is the reusable state of a fine-ND block's in-place
-// refactorization sweep, built once on the first Refactor: flags is the
-// resettable epoch variant of the point-to-point Signals fabric, so
-// repeated sweeps allocate no synchronization state.
+// refactorization sweep, built once on the first refresh: flags is the
+// resettable EpochSignals fabric with one slot per (i, j) kernel plus, in
+// row nb, one ready slot per column node (see arrive), so repeated
+// sweeps allocate no synchronization state.
 //
 // Everything else the sweep needs is shared with the fresh-factorization
 // path on the ndNum itself — the input-block entry maps (aSrc) and the
@@ -28,97 +31,112 @@ type ndRefactor struct {
 	// does the same for the blocked-wait nanoseconds.
 	lastContended int64
 	lastWaitNs    int64
+
+	// run[t] is region worker t's prebuilt goroutine body and wg their
+	// join, so launching a sweep allocates nothing.
+	run []func()
+	wg  sync.WaitGroup
+	// pending[j] counts what column node j's decision still waits for: its
+	// own gather and the decision of each child (arrivals[j] per sweep).
+	pending  []atomic.Int32
+	arrivals []int32
+
+	// The running sweep's inputs, written by refactorSweep before any
+	// worker launches: in is what the workers gather from (zero when the
+	// change-set path scattered the values already), st the dirty state
+	// (nil for a full refresh) and poison the KernelNaN fault.
+	in     ndInput
+	st     *ndIncState
+	poison bool
 }
 
-// ensureRefactorState builds the in-place refactor state for this ND block,
-// whose rows/columns occupy [r0, r0+n) of the permuted matrix perm (kept as
-// a parameter for interface stability; the input hierarchy and its gather
-// maps already live on the ndNum).
-func (num *ndNum) ensureRefactorState(perm *sparse.CSC, r0 int) {
-	if num.re != nil {
-		num.re.flags.Bind(num.opts.ctl)
-		return
+// ensureRefactorState builds the in-place refactor state for this ND block
+// (or rebinds its fabric to the owner's cancel source).
+func (num *ndNum) ensureRefactorState() {
+	if num.re == nil {
+		nb := num.sym.nb
+		re := &ndRefactor{
+			flags:    &epochBlockFlags{n: nb, EpochSignals: NewEpochSignals((nb + 1) * nb)},
+			run:      make([]func(), num.sym.p),
+			pending:  make([]atomic.Int32, nb),
+			arrivals: make([]int32, nb),
+		}
+		for j, par := range num.sym.tree.Parent {
+			re.arrivals[j]++
+			if par >= 0 {
+				re.arrivals[par]++
+			}
+		}
+		for t := range re.run {
+			re.run[t] = func() {
+				// Panic isolation: record the panic and fail the flag fabric
+				// so cooperating siblings abort their waits; the WaitGroup
+				// is the join, so nothing else needs releasing.
+				defer re.wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						num.failRefactor(panicError(r))
+					}
+				}()
+				num.refactorRegion(t)
+			}
+		}
+		num.re = re
 	}
-	num.re = &ndRefactor{flags: newEpochBlockFlags(num.sym.nb)}
 	num.re.flags.Bind(num.opts.ctl)
 }
 
-// refactorInPlace refreshes every numeric value of the 2D factorization for
-// a same-pattern matrix whose values now live in perm (the globally
-// permuted matrix; this block occupies [r0, r0+n)). Pivot sequences and all
-// block patterns are reused; in steady state the sweep performs no
-// allocation. On error (a reused pivot drifted to zero) the values are left
-// partially refreshed — the caller falls back to a fresh factorND.
-func (num *ndNum) refactorInPlace(perm *sparse.CSC, r0 int) error {
-	s := num.sym
-	for i := 0; i < s.nb; i++ {
-		for j, src := range num.aSrc[i] {
-			if src != nil {
-				sparse.ExtractBlockInto(num.a[i][j], perm, src)
-			}
-		}
-	}
-	return num.refactorSweep(perm, r0, nil)
-}
-
-// refactorSweep runs the in-place refactorization of this block's 2D
-// hierarchy. st, when non-nil, carries the sweep's changed-kernel matrix
-// (st.chg, nb×nb row major) and per-node first-dirty columns (st.first):
-// only kernels whose chg entry is true are rerun — clean kernels keep
-// their factored values and their completion flags are pre-armed for the
-// epoch, so dirty kernels still synchronize point-to-point exactly as the
-// full sweep does — and leaf kernels, which have no reduction terms,
-// restrict their refresh to the dirty column suffix. The caller is
-// responsible for having regathered the input blocks that feed dirty
-// kernels (the full-sweep wrapper refactorInPlace gathers everything; the
-// incremental layer gathers per changed column).
-func (num *ndNum) refactorSweep(perm *sparse.CSC, r0 int, st *ndIncState) error {
-	num.ensureRefactorState(perm, r0)
+// refactorSweep refreshes every numeric value of the 2D factorization in
+// place, reusing pivot sequences and block patterns; in steady state it
+// performs no allocation. in, when non-nil, is what the region workers
+// gather the input hierarchy from, each the column nodes it owns (nil when
+// the values are already in place). st, when non-nil, carries the dirty
+// state: a gathering sweep diffs into it, and each column node's kernels
+// are decided as soon as the node and the columns below it are in (see
+// arrive). Clean kernels keep their factored values and their completion
+// flags are pre-armed for the epoch, so dirty kernels still synchronize
+// point-to-point exactly as the full sweep does, and leaf kernels, which
+// have no reduction terms, restrict their refresh to the dirty column
+// suffix. poison plants the KernelNaN fault in the inputs and reruns every
+// kernel. It reports whether any kernel ran; on error (a reused pivot
+// drifted to zero) the values are left partially refreshed and the caller
+// falls back to a fresh factorND.
+func (num *ndNum) refactorSweep(in *ndInput, st *ndIncState, poison bool) (bool, error) {
+	num.ensureRefactorState()
 	re := num.re
 	s := num.sym
 	re.flags.Reset()
+	re.in = ndInput{}
+	if in != nil {
+		re.in = *in
+	}
+	num.phase = trace.PhaseRefactor
 	if st != nil {
-		for i := 0; i < s.nb; i++ {
-			row := st.chg[i*s.nb : (i+1)*s.nb]
-			for j, c := range row {
-				if !c {
-					re.flags.set(i, j)
-				}
-			}
-		}
+		num.phase = trace.PhasePartial
+	}
+	if poison {
+		st = nil
+	}
+	re.st, re.poison = st, poison
+	for j, n := range re.arrivals {
+		re.pending[j].Store(n)
 	}
 	num.firstErr = nil
 	for t := range num.phaseDur {
 		num.phaseDur[t] = num.phaseDur[t][:0]
 	}
 	num.rec = num.opts.Trace
-	if st == nil {
-		num.phase = trace.PhaseRefactor
-	} else {
-		num.phase = trace.PhasePartial
-	}
 	num.resetWaitAccounting()
 	if s.p == 1 {
-		num.refactorWorker(0, st)
+		num.refactorRegion(0)
 	} else {
-		var wg sync.WaitGroup
 		for t := 0; t < s.p; t++ {
-			wg.Add(1)
-			go func(t int) {
-				// Panic isolation: record the panic and fail the refactor
-				// flag fabric so cooperating siblings abort their waits; the
-				// WaitGroup is the join, so nothing else needs releasing.
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						num.failRefactor(panicError(r))
-					}
-				}()
-				num.refactorWorker(t, st)
-			}(t)
+			re.wg.Add(1)
+			go re.run[t]()
 		}
-		wg.Wait()
+		re.wg.Wait()
 	}
+	re.in = ndInput{}
 	total := re.flags.Contended()
 	num.SyncWaits = total - re.lastContended
 	re.lastContended = total
@@ -130,7 +148,71 @@ func (num *ndNum) refactorSweep(perm *sparse.CSC, r0 int, st *ndIncState) error 
 			num.firstErr = errSweepAborted
 		}
 	}
-	return num.firstErr
+	ran := st == nil || slices.Contains(st.chg, true)
+	return ran, num.firstErr
+}
+
+// refactorRegion is region worker t's share of an in-place sweep: gather
+// (and, with a dirty state, diff) the input blocks of the column nodes it
+// owns, then run its static schedule. Owning whole column nodes keeps
+// every dirty mark of a node with one writer.
+func (num *ndNum) refactorRegion(t int) {
+	num.opts.Inject.WorkerPanic(faultinject.SweepND, t)
+	re, s := num.re, num.sym
+	rec := num.rec
+	start := rec.Now()
+	for j := 0; j < s.nb; j++ {
+		if s.owner[j] != t {
+			continue
+		}
+		if re.in.g != nil {
+			num.gatherNode(j, &re.in, re.st)
+		}
+		if re.poison && j == s.tree.Leaves[0] {
+			// The KernelNaN fault: a NaN lands in the first leaf's input.
+			if b := num.a[j][j]; b.Nnz() > 0 {
+				b.Values[0] = nan()
+			}
+		}
+		num.arrive(j)
+	}
+	if rec != nil && re.in.g != nil {
+		rec.Record(trace.Event{Start: start, End: rec.Now(), Worker: trace.NDWorker(num.blk, t),
+			Block: int32(num.blk), Kind: trace.KindGather, Phase: num.phase})
+	}
+	num.refactorWorker(t, re.st)
+}
+
+// arrive records that column node j's inputs are in place (or, walking up,
+// that a child column is decided). The arrival that completes a column —
+// whichever worker makes it — decides which of the column's kernels rerun
+// (on a selective sweep), pre-arms the flags of the clean ones, opens the
+// column's ready slot (row nb of the flag fabric) and arrives at the
+// parent. Decisions thus climb the tree as soon as their inputs exist,
+// with no barrier: every worker starts its leaf right after its own
+// gather, and no worker ever waits on a decision for longer than the
+// gathers below it take.
+func (num *ndNum) arrive(j int) {
+	re, s := num.re, num.sym
+	for j >= 0 && re.pending[j].Add(-1) == 0 {
+		if st := re.st; st != nil {
+			num.decideColumn(st, j)
+			for i := 0; i < s.nb; i++ {
+				if !st.chg[i*s.nb+j] {
+					re.flags.set(i, j)
+				}
+			}
+		}
+		re.flags.set(s.nb, j)
+		j = s.tree.Parent[j]
+	}
+}
+
+// openColumn waits until column node j's kernels may run: their inputs
+// are gathered and, on a selective sweep, decided (see arrive). False
+// means the sweep aborted.
+func (num *ndNum) openColumn(j, t int) bool {
+	return num.waitOn(num.re.flags, num.sym.nb, j, t)
 }
 
 func (num *ndNum) failRefactor(err error) {
@@ -149,10 +231,12 @@ func (num *ndNum) failRefactor(err error) {
 // synchronization; the barrier ablation concerns first factorization).
 // Compute time lands in phaseDur exactly like the factor path, so the
 // simulated-makespan model covers refactorization too. st, when non-nil,
-// selects the kernels to rerun (nil reruns everything); skipped kernels
-// keep their values and rely on the driver's pre-armed flags, and the
-// phase-duration appends stay unconditional so the makespan model's phase
-// alignment across threads survives partial sweeps.
+// selects the kernels to rerun (nil reruns everything); each column's
+// kernels run only once its ready slot is open, skipped kernels keep
+// their values and rely on the flags pre-armed when their column was
+// decided (see arrive), and
+// the phase-duration appends stay unconditional so the makespan model's
+// phase alignment across threads survives partial sweeps.
 //
 // Per-column granularity at the leaves: leaf kernels consume no reduction,
 // so when the change set first touches node v at column st.first[v], the
@@ -164,7 +248,6 @@ func (num *ndNum) failRefactor(err error) {
 // dirty column provided the leaf factor itself did not change this sweep
 // (each upper column reads the whole leaf L).
 func (num *ndNum) refactorWorker(t int, st *ndIncState) {
-	num.opts.Inject.WorkerPanic(faultinject.SweepND, t)
 	s := num.sym
 	re := num.re
 	leaf := s.tree.Leaves[t]
@@ -201,6 +284,9 @@ func (num *ndNum) refactorWorker(t int, st *ndIncState) {
 		waitMark = num.fwait[t]
 	}
 	var busy float64
+	if !num.openColumn(leaf, t) {
+		return
+	}
 
 	// ---- treelevel -1: refresh the leaf diagonal and its lower blocks.
 	// Kernel dispatch must mirror the fresh path exactly (dense-tagged →
@@ -278,6 +364,9 @@ func (num *ndNum) refactorWorker(t int, st *ndIncState) {
 	// ---- separator columns, bottom-up (the paper's slevel loop).
 	for slevel := 1; slevel <= s.maxH; slevel++ {
 		j := ancestorAtHeight(s, leaf, slevel)
+		if !num.openColumn(j, t) {
+			return
+		}
 		// Step A: my leaf's upper block U_{leaf,j}.
 		if live(leaf, j) {
 			k0 := 0

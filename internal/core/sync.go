@@ -7,103 +7,18 @@ import (
 	"time"
 )
 
-// Signals is the point-to-point synchronization fabric shared by the
-// numeric engine and the trisolve subsystem: a flat array of one-shot
-// completion signals plus an abort channel. A producer signals exactly once
-// per slot; consumers wait only on the slots they need — the Go analogue of
-// the paper's write-to-volatile point-to-point synchronization. Signals are
-// implemented as closed channels so waiting goroutines consume no CPU even
-// when the host has fewer cores than workers (which matters for the
-// simulated-makespan timing mode described in README.md).
-type Signals struct {
-	done  []chan struct{}
-	abort chan struct{}
-	// cancel is the external cancel source (a SweepControl's channel face):
-	// unlike abort, which a worker closes on numeric failure, cancel is
-	// fired from outside the sweep (context expiry, stall watchdog). A nil
-	// channel never fires, so unbound fabrics pay one extra select arm.
-	cancel <-chan struct{}
-	once   sync.Once
-	// contended counts waits that actually had to block (ablation metric);
-	// waitNanos accumulates the wall-clock time those blocked waits cost
-	// (the fast path pays nothing — uncontended waits read no clock).
-	contended atomic.Int64
-	waitNanos atomic.Int64
-}
-
-// NewSignals returns a fabric with n one-shot completion slots.
-func NewSignals(n int) *Signals {
-	s := &Signals{
-		done:  make([]chan struct{}, n),
-		abort: make(chan struct{}),
-	}
-	for i := range s.done {
-		s.done[i] = make(chan struct{})
-	}
-	return s
-}
-
-// Set marks slot i complete. Each slot has exactly one producer.
-func (s *Signals) Set(i int) { close(s.done[i]) }
-
-// BindCancel attaches an external cancel source: a blocked Wait returns
-// false when ch fires, exactly as it does for an internal abort. Must be
-// called before any waiter blocks.
-func (s *Signals) BindCancel(ch <-chan struct{}) { s.cancel = ch }
-
-// Wait blocks until slot i is complete. It returns false if the
-// computation has been aborted (another worker hit an error) or cancelled
-// from outside, so waiters can unwind instead of deadlocking.
-func (s *Signals) Wait(i int) bool {
-	ch := s.done[i]
-	select {
-	case <-ch:
-		return true
-	default:
-	}
-	s.contended.Add(1)
-	t0 := time.Now()
-	select {
-	case <-ch:
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		return true
-	case <-s.abort:
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		return false
-	case <-s.cancel:
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		return false
-	}
-}
-
-// WaitNanos reports the cumulative wall-clock nanoseconds of blocked waits.
-func (s *Signals) WaitNanos() int64 { return s.waitNanos.Load() }
-
-// Fail aborts the whole parallel region.
-func (s *Signals) Fail() { s.once.Do(func() { close(s.abort) }) }
-
-// Contended reports how many waits actually had to block.
-func (s *Signals) Contended() int64 { return s.contended.Load() }
-
-func (s *Signals) aborted() bool {
-	select {
-	case <-s.abort:
-		return true
-	default:
-		return false
-	}
-}
-
-// EpochSignals is the resettable variant of the Signals fabric, built for
-// sweeps that repeat on a fixed dependency structure (the refactorization
-// hot loop and the pooled parallel block solve). Where Signals allocates
-// one-shot channels per sweep, EpochSignals keeps a flat array of epoch
-// stamps: slot i is complete for the current sweep when its stamp has
-// reached the sweep's epoch, so restarting costs one counter increment and
-// no allocation. Waits spin briefly through the scheduler and then back off
-// to short sleeps — the Go analogue of the paper's write-to-volatile
-// point-to-point synchronization, bounded so oversubscribed hosts still
-// make progress.
+// EpochSignals is the point-to-point synchronization fabric shared by the
+// numeric engine and the trisolve subsystem, built for sweeps that repeat
+// on a fixed dependency structure (the factor and refactor sweeps, the
+// pooled parallel block solve). It keeps a flat array of epoch stamps: slot
+// i is complete for the current sweep when its stamp has reached the
+// sweep's epoch, so restarting costs one counter increment and no
+// allocation. Waits spin briefly through the scheduler and then park until
+// the slot they wait on is set (or the sweep aborts) — the Go analogue of
+// the paper's write-to-volatile point-to-point synchronization, bounded so
+// oversubscribed hosts still make progress. Parking instead of sleeping
+// keeps a wait from outlasting its slot by a timer's oversleep, which on a
+// busy host is tens to hundreds of microseconds per wait.
 //
 // The fabric is single-sweep-at-a-time: Reset must not race with Set/Wait
 // (callers quiesce between sweeps, which the refactor and solve drivers
@@ -123,11 +38,25 @@ type EpochSignals struct {
 	// and touches no counter, preserving the zero-overhead contract.
 	contended atomic.Int64
 	waitNanos atomic.Int64
+
+	// parked counts waiters parked on wake; want[i] marks a slot a waiter
+	// has parked on (never cleared, so it can cost a spurious wake-up but
+	// never lose one). Set reads them only to decide whether to wake
+	// anyone, so a sweep nobody parks in pays one atomic load per Set. mu
+	// guards wake, whose L is set at first use.
+	parked atomic.Int32
+	want   []atomic.Bool
+	mu     sync.Mutex
+	wake   sync.Cond
 }
+
+// spinWaits is how many times a blocked wait yields to the scheduler
+// before it parks.
+const spinWaits = 128
 
 // NewEpochSignals returns a fabric with n slots, ready for the first sweep.
 func NewEpochSignals(n int) *EpochSignals {
-	return &EpochSignals{slots: make([]atomic.Uint64, n), epoch: 1}
+	return &EpochSignals{slots: make([]atomic.Uint64, n), want: make([]atomic.Bool, n), epoch: 1}
 }
 
 // Len reports the number of slots.
@@ -149,6 +78,9 @@ func (s *EpochSignals) Set(i int) {
 	s.slots[i].Store(s.epoch)
 	if c := s.ctl; c != nil && c.armed {
 		c.progress.Add(1)
+	}
+	if s.parked.Load() != 0 && s.want[i].Load() {
+		s.wakeAll()
 	}
 }
 
@@ -190,31 +122,68 @@ func (s *EpochSignals) WaitTimed(i int) (int64, bool) {
 func (s *EpochSignals) waitSlow(i int, e uint64) (int64, bool) {
 	s.contended.Add(1)
 	t0 := time.Now()
-	for spins := 0; ; spins++ {
-		if s.slots[i].Load() >= e {
-			d := time.Since(t0).Nanoseconds()
-			s.waitNanos.Add(d)
-			return d, true
-		}
-		if s.abort.Load() == e {
-			d := time.Since(t0).Nanoseconds()
-			s.waitNanos.Add(d)
-			return d, false
-		}
-		// External cancellation (context expiry, stall watchdog) unblocks
-		// waiters through the same false return as an internal abort. The
-		// poll lives only on this blocked slow path.
-		if c := s.ctl; c != nil && c.flag.Load() {
-			d := time.Since(t0).Nanoseconds()
-			s.waitNanos.Add(d)
-			return d, false
-		}
-		if spins < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(5 * time.Microsecond)
-		}
+	done, ok := s.settled(i, e)
+	for spins := 0; !done && spins < spinWaits; spins++ {
+		runtime.Gosched()
+		done, ok = s.settled(i, e)
 	}
+	if !done {
+		ok = s.park(i, e)
+	}
+	d := time.Since(t0).Nanoseconds()
+	s.waitNanos.Add(d)
+	return d, ok
+}
+
+// settled reports whether a wait on slot i for epoch e is over, and if so
+// whether the slot completed (true) or the sweep was aborted (false) —
+// internally, or by external cancellation (context expiry, stall watchdog)
+// through the bound control's flag.
+func (s *EpochSignals) settled(i int, e uint64) (done, ok bool) {
+	if s.slots[i].Load() >= e {
+		return true, true
+	}
+	if s.abort.Load() == e {
+		return true, false
+	}
+	if c := s.ctl; c != nil && c.flag.Load() {
+		return true, false
+	}
+	return false, false
+}
+
+// park blocks until slot i completes for epoch e or the sweep aborts. The
+// waiter announces itself (want, parked) before its last check, and Set,
+// Fail and Cancel publish before they look for parked waiters, so one side
+// always sees the other and no wake-up is lost. A waiter on a bound fabric
+// is listed on its control while parked, so Cancel can reach it.
+func (s *EpochSignals) park(i int, e uint64) bool {
+	c := s.ctl
+	if c != nil {
+		c.parkedOn(s)
+		defer c.unparked(s)
+	}
+	s.mu.Lock()
+	if s.wake.L == nil {
+		s.wake.L = &s.mu
+	}
+	s.want[i].Store(true)
+	s.parked.Add(1)
+	done, ok := s.settled(i, e)
+	for !done {
+		s.wake.Wait()
+		done, ok = s.settled(i, e)
+	}
+	s.parked.Add(-1)
+	s.mu.Unlock()
+	return ok
+}
+
+// wakeAll wakes every parked waiter so each re-checks its slot.
+func (s *EpochSignals) wakeAll() {
+	s.mu.Lock()
+	s.wake.Broadcast()
+	s.mu.Unlock()
 }
 
 // WaitNanos reports the cumulative wall-clock nanoseconds of blocked waits,
@@ -223,7 +192,12 @@ func (s *EpochSignals) WaitNanos() int64 { return s.waitNanos.Load() }
 
 // Fail aborts the current sweep; pending and future Waits return false
 // until the next Reset.
-func (s *EpochSignals) Fail() { s.abort.Store(s.epoch) }
+func (s *EpochSignals) Fail() {
+	s.abort.Store(s.epoch)
+	if s.parked.Load() != 0 {
+		s.wakeAll()
+	}
+}
 
 // Aborted reports whether the current sweep has been aborted, by a worker
 // failure or by external cancellation.
@@ -241,9 +215,7 @@ func (s *EpochSignals) Contended() int64 { return s.contended.Load() }
 
 // epochBlockFlags adapts EpochSignals to the fine-ND engine's 2D block
 // indexing: one resettable completion slot per (i, j) block of the
-// hierarchy, shared by the fresh-factorization and refactorization sweeps
-// (the channel-based Signals fabric remains for one-shot consumers like the
-// trisolve dependency scheduler).
+// hierarchy, shared by the fresh-factorization and refactorization sweeps.
 type epochBlockFlags struct {
 	n int
 	*EpochSignals

@@ -129,7 +129,7 @@ func (s *Solver) SolutionClosure(changedCols []int) []bool {
 // solveBlockParallel runs the single-RHS BTF back-substitution with
 // independent coarse blocks scheduled across the worker goroutines.
 // Blocks are assigned round-robin; each worker walks its blocks last to
-// first, waits point-to-point (via the numeric engine's Signals fabric)
+// first, waits point-to-point (via the numeric engine's EpochSignals fabric)
 // only on the exact later blocks that feed each of its blocks, pulls those
 // couplings, and solves the diagonal block. Rows of y belonging to block i
 // are written only by i's owner, and y values of a feeding block are read

@@ -18,7 +18,7 @@
 //   - scheduled parallelism: panels are distributed over worker
 //     goroutines, and single-RHS solves on matrices with many coarse
 //     blocks run a dependency-scheduled parallel block sweep that reuses
-//     the point-to-point Signals fabric of the numeric engine — block i
+//     the point-to-point EpochSignals fabric of the numeric engine — block i
 //     waits only on the exact later blocks that feed it.
 //
 // All entry points perform bit-for-bit the same floating-point operation
